@@ -1,10 +1,11 @@
 //! Byte-identity pins for the reclamation paths.
 //!
-//! Four small deterministic runs — plain, chaos (server crashes +
+//! Five small deterministic runs — plain, chaos (server crashes +
 //! agent faults), guarded distress (emergency reinflation + OOM
-//! kills), and distress with live migration (rescue moves and their
-//! reserve–copy–commit accounting) — have their full run summaries
-//! committed under
+//! kills), distress with live migration (rescue moves and their
+//! reserve–copy–commit accounting), and the control plane under every
+//! fault domain at once (partitions and manager crashes on top of the
+//! migration run) — have their full run summaries committed under
 //! `tests/golden/`. Any refactor of the reclamation machinery (the
 //! `ReclaimSession` commit/rollback paths, the cascade, placement) must
 //! reproduce these summaries byte for byte; a behavioural change that
@@ -21,7 +22,7 @@ use cluster::manager::ClusterManagerConfig;
 use cluster::simulate::{run_cluster_sim, ClusterSimConfig};
 use cluster::traces::TraceConfig;
 use deflate_core::ResourceVector;
-use simkit::{FaultPlan, SimDuration};
+use simkit::{AdmissionOverflow, FaultPlan, ManagerPlan, PartitionPlan, SimDuration};
 
 fn base_cfg() -> ClusterSimConfig {
     ClusterSimConfig {
@@ -70,6 +71,37 @@ fn migration_cfg() -> ClusterSimConfig {
     cfg
 }
 
+/// The migration run with defragmentation under every fault domain at
+/// once: chaos faults, manager↔server partitions and manager crashes.
+/// The rates are high enough that partitioned and manager-less servers
+/// run every branch of their local controller alone (emergency grants,
+/// breaker trips and closes, an OOM kill, exits, crashes, reboots,
+/// reboots during manager downtime), and heals and inventory scans
+/// replay what it did.
+fn control_plane_cfg() -> ClusterSimConfig {
+    let mut cfg = migration_cfg();
+    cfg.manager.migration.defrag_interval = SimDuration::from_mins(30);
+    cfg.manager.faults = FaultPlan {
+        server_crash_rate_per_hour: 2.0,
+        server_restart: SimDuration::from_mins(30),
+        crash_warning: SimDuration::from_mins(5),
+        partitions: PartitionPlan {
+            prob: 0.3,
+            bucket: SimDuration::from_mins(30),
+            duration: SimDuration::from_mins(90),
+        },
+        manager: ManagerPlan {
+            prob: 0.3,
+            downtime: SimDuration::from_mins(30),
+            queue_cap: 64,
+            overflow: AdmissionOverflow::Defer,
+            ..ManagerPlan::none()
+        },
+        ..FaultPlan::chaos(7).scaled(2.0)
+    };
+    cfg
+}
+
 fn check(name: &str, cfg: &ClusterSimConfig, golden: &str) {
     let got = run_cluster_sim(cfg).summary.to_pretty();
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
@@ -110,5 +142,14 @@ fn migration_summary_matches_golden() {
         "migration",
         &migration_cfg(),
         include_str!("golden/migration.json"),
+    );
+}
+
+#[test]
+fn control_plane_summary_matches_golden() {
+    check(
+        "control_plane",
+        &control_plane_cfg(),
+        include_str!("golden/control_plane.json"),
     );
 }
