@@ -35,7 +35,7 @@ use deflate_core::{ServerId, VmId};
 use hypervisor::ServerAggregates;
 use simkit::{SeqHash, SimTime};
 
-use crate::manager::VmDistress;
+use crate::manager::DistressMap;
 
 /// The manager's view of one server's control-plane liveness. Orthogonal
 /// to the server's physical `up` flag: a partitioned server may be
@@ -348,7 +348,7 @@ pub(crate) struct PartitionSession {
     pub(crate) low: HashSet<VmId, SeqHash>,
     /// Distress/breaker state parked from the manager's map at
     /// partition time and advanced locally by `autonomous_sample`.
-    pub(crate) distress: HashMap<VmId, VmDistress, SeqHash>,
+    pub(crate) distress: DistressMap,
     /// Missed-cascade-deadline counters parked when the *manager*
     /// crashes: the server-side agent owns this liveness state, so a
     /// restarted manager rebuilds it from the inventory scan. Empty for

@@ -32,7 +32,7 @@ use simkit::{
     JsonValue, ManagerPlan, Scheduler, SimDuration, SimTime,
 };
 
-use crate::distress::DistressConfig;
+use crate::distress::{DistressConfig, DistressEvent};
 use crate::manager::{ClusterManager, ClusterManagerConfig, ClusterStats, LaunchOutcome};
 use crate::migration::MigrationPolicy;
 use crate::traces::{TraceConfig, TraceGenerator, VmRequest};
@@ -656,74 +656,14 @@ impl SimCell {
                 }
             }
             Ev::DistressSample => {
-                for dev in self.manager.sample_distress(now) {
-                    match dev {
-                        crate::distress::DistressEvent::OomKill { vm, .. } => {
-                            // The manager already removed the VM; it
-                            // relaunches through the crash path after the
-                            // reboot delay, with its remaining lifetime.
-                            if let Some(lv) = self.live.remove(&vm) {
-                                let restart_at = now + self.distress.restart_delay;
-                                if let Some(req) = relaunch_request(lv, now, restart_at) {
-                                    sched.at(
-                                        restart_at,
-                                        Ev::Relaunch {
-                                            req: Box::new(req),
-                                            oom: true,
-                                        },
-                                    );
-                                }
-                            }
-                        }
-                        crate::distress::DistressEvent::Slowdown { vm, perf } => {
-                            // The guest completed only `perf` of an
-                            // interval's work: stretch its remaining
-                            // lifetime and supersede the old Depart.
-                            if let Some(lv) = self.live.get_mut(&vm) {
-                                let stretch = self
-                                    .distress
-                                    .sample_interval
-                                    .mul_f64(1.0 / perf.max(0.05) - 1.0);
-                                lv.depart_at += stretch;
-                                sched.at(lv.depart_at, Ev::Depart(vm));
-                            }
-                        }
-                        crate::distress::DistressEvent::Migration { vm, total } => {
-                            // The copy window elapses asynchronously;
-                            // the cut-over lands when it ends (the
-                            // manager aborts moves gone stale).
-                            sched.at(now + total, Ev::MigrationDone(vm));
-                        }
-                    }
-                }
+                let events = self.manager.sample_distress(now);
+                self.apply_distress(sched, now, events, false);
                 // Partitioned servers sample on their own clock with only
-                // server-local state: kills park in limbo (no placement
-                // authority until the heal), slowdowns stretch lifetimes
-                // exactly like the connected path. No partitions → no
-                // servers here → byte-identical to the pre-partition run.
+                // server-local state. No partitions → no servers here →
+                // byte-identical to the pre-partition run.
                 for sid in self.manager.partitioned_servers() {
-                    for dev in self.manager.autonomous_sample(now, sid) {
-                        match dev {
-                            crate::distress::DistressEvent::OomKill { vm, .. } => {
-                                if let Some(lv) = self.live.remove(&vm) {
-                                    self.limbo.insert(vm, (lv, now));
-                                }
-                            }
-                            crate::distress::DistressEvent::Slowdown { vm, perf } => {
-                                if let Some(lv) = self.live.get_mut(&vm) {
-                                    let stretch = self
-                                        .distress
-                                        .sample_interval
-                                        .mul_f64(1.0 / perf.max(0.05) - 1.0);
-                                    lv.depart_at += stretch;
-                                    sched.at(lv.depart_at, Ev::Depart(vm));
-                                }
-                            }
-                            // Autonomous mode has no placement authority:
-                            // rescue migrations are never emitted.
-                            crate::distress::DistressEvent::Migration { .. } => {}
-                        }
-                    }
+                    let events = self.manager.autonomous_sample(now, sid);
+                    self.apply_distress(sched, now, events, true);
                 }
                 // Distress handling may touch many servers (emergency
                 // donor rounds, kills): refresh every per-server gauge.
@@ -875,6 +815,61 @@ impl SimCell {
                         None => self.admit_fresh(sched, now, *req),
                         Some(oom) => self.admit_relaunch(sched, now, *req, oom),
                     }
+                }
+            }
+        }
+    }
+
+    /// Acts on one sampling round's distress events. A guest the OOM
+    /// killer took relaunches through the crash path after the reboot
+    /// delay, with its remaining lifetime — unless it died behind a
+    /// partition (`autonomous`): the manager has no placement authority
+    /// there, so it parks in limbo until the heal. A thrashing guest
+    /// completed only `perf` of an interval's work, so its remaining
+    /// lifetime stretches and the old `Depart` is superseded. A rescue
+    /// migration's cut-over lands when its copy window ends (the
+    /// manager aborts moves gone stale); autonomous sampling never
+    /// emits one.
+    fn apply_distress(
+        &mut self,
+        sched: &mut Scheduler<Ev>,
+        now: SimTime,
+        events: Vec<DistressEvent>,
+        autonomous: bool,
+    ) {
+        for dev in events {
+            match dev {
+                DistressEvent::OomKill { vm, .. } => {
+                    let Some(lv) = self.live.remove(&vm) else {
+                        continue;
+                    };
+                    if autonomous {
+                        self.limbo.insert(vm, (lv, now));
+                        continue;
+                    }
+                    let restart_at = now + self.distress.restart_delay;
+                    if let Some(req) = relaunch_request(lv, now, restart_at) {
+                        sched.at(
+                            restart_at,
+                            Ev::Relaunch {
+                                req: Box::new(req),
+                                oom: true,
+                            },
+                        );
+                    }
+                }
+                DistressEvent::Slowdown { vm, perf } => {
+                    if let Some(lv) = self.live.get_mut(&vm) {
+                        let stretch = self
+                            .distress
+                            .sample_interval
+                            .mul_f64(1.0 / perf.max(0.05) - 1.0);
+                        lv.depart_at += stretch;
+                        sched.at(lv.depart_at, Ev::Depart(vm));
+                    }
+                }
+                DistressEvent::Migration { vm, total } => {
+                    sched.at(now + total, Ev::MigrationDone(vm));
                 }
             }
         }
