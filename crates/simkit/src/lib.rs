@@ -56,7 +56,7 @@ pub use event::{run, run_until, EventQueue, Scheduler};
 pub use fault::{AdmissionOverflow, FaultInjector, FaultPlan, ManagerPlan, PartitionPlan};
 pub use hash::SeqHash;
 pub use json::JsonValue;
-pub use metrics::{Counter, Histogram, MetricSet, MetricsRegistry, TimeSeries, TimeWeightedGauge};
+pub use metrics::{Counter, Histogram, MetricsRegistry, TimeSeries, TimeWeightedGauge};
 pub use observe::Observability;
 pub use par::parallel_map_workers;
 pub use rng::SimRng;

@@ -255,47 +255,6 @@ impl Histogram {
     }
 }
 
-/// A named registry of time series, used by experiment harnesses to gather
-/// all outputs of a run and export them as CSV.
-#[derive(Debug, Default)]
-pub struct MetricSet {
-    series: BTreeMap<String, TimeSeries>,
-}
-
-impl MetricSet {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        MetricSet::default()
-    }
-
-    /// Appends a sample to the named series, creating it on first use.
-    pub fn push(&mut self, name: &str, t: SimTime, v: f64) {
-        self.series.entry(name.to_string()).or_default().push(t, v);
-    }
-
-    /// Looks up a series.
-    pub fn get(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.get(name)
-    }
-
-    /// Names in sorted order.
-    pub fn names(&self) -> Vec<&str> {
-        self.series.keys().map(|s| s.as_str()).collect()
-    }
-
-    /// Renders every series as long-format CSV: `series,time_s,value`.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("series,time_s,value\n");
-        for (name, ts) in &self.series {
-            for (t, v) in ts.points() {
-                writeln!(out, "{},{:.6},{:.6}", name, t.as_secs_f64(), v)
-                    .expect("writing to String cannot fail");
-            }
-        }
-        out
-    }
-}
-
 /// A registry of counters, time-weighted gauges, and histograms addressed
 /// by hierarchical dotted key.
 ///
@@ -667,19 +626,5 @@ mod tests {
         r.gauge_set("y", SimTime::ZERO, 0.0);
         r.observe("z", 1.0);
         assert_eq!(r.keys(), vec!["counter:x", "gauge:y", "histogram:z"]);
-    }
-
-    #[test]
-    fn metricset_csv() {
-        let mut m = MetricSet::new();
-        m.push("x", SimTime::from_secs(1), 1.5);
-        m.push("x", SimTime::from_secs(2), 2.5);
-        m.push("y", SimTime::ZERO, 0.0);
-        let csv = m.to_csv();
-        assert!(csv.starts_with("series,time_s,value\n"));
-        assert!(csv.contains("x,1.000000,1.500000"));
-        assert!(csv.contains("y,0.000000,0.000000"));
-        assert_eq!(m.names(), vec!["x", "y"]);
-        assert_eq!(m.get("x").map(|ts| ts.len()), Some(2));
     }
 }
