@@ -5,7 +5,7 @@
 //! pruning pays: most servers cannot fit the demand and are never
 //! touched.
 
-use cluster::placement::{choose_server, choose_server_baseline, PlacementPolicy};
+use cluster::placement::{choose_server_with, PlacementPolicy};
 use cluster::{AvailabilityMode, PlacementIndex};
 use criterion::{criterion_group, criterion_main, Criterion};
 use deflate_core::{ResourceVector, ServerId, VmId};
@@ -77,10 +77,11 @@ fn bench_placement(c: &mut Criterion) {
         c.bench_function(format!("placement/{}_200_servers", policy.name()), |b| {
             let mut rng = SimRng::seed_from_u64(7);
             b.iter(|| {
-                black_box(choose_server(
+                black_box(choose_server_with(
                     policy,
                     black_box(&servers),
                     black_box(&demand),
+                    AvailabilityMode::Deflation,
                     &mut rng,
                 ))
             })
@@ -94,29 +95,15 @@ fn bench_placement_indexed(c: &mut Criterion) {
     let demand = ResourceVector::new(4.0, 8_192.0, 100.0, 200.0);
     for policy in PlacementPolicy::ALL {
         c.bench_function(
-            format!("placement/baseline/{}_1000_loaded", policy.name()),
-            |b| {
-                let mut rng = SimRng::seed_from_u64(7);
-                b.iter(|| {
-                    black_box(choose_server_baseline(
-                        policy,
-                        black_box(&servers),
-                        black_box(&demand),
-                        AvailabilityMode::Deflation,
-                        &mut rng,
-                    ))
-                })
-            },
-        );
-        c.bench_function(
             format!("placement/naive/{}_1000_loaded", policy.name()),
             |b| {
                 let mut rng = SimRng::seed_from_u64(7);
                 b.iter(|| {
-                    black_box(choose_server(
+                    black_box(choose_server_with(
                         policy,
                         black_box(&servers),
                         black_box(&demand),
+                        AvailabilityMode::Deflation,
                         &mut rng,
                     ))
                 })

@@ -1,10 +1,9 @@
 //! Cluster-simulation timing harness: runs trace-driven simulations with
-//! the placement index (`indexed`), with the pre-index naive-scan
-//! baseline (`naive`, `PlacementEngine::BaselineScan`), and with the
-//! cellular sharded simulator (`sharded`, `--cells` cells federated
-//! under the epoch barrier), records wall-time and events/sec per run,
-//! and writes the machine-readable `BENCH_cluster.json` (schema v3) used
-//! to track the simulator's performance trajectory across PRs.
+//! the placement index (`indexed`) and with the cellular sharded
+//! simulator (`sharded`, `--cells` cells federated under the epoch
+//! barrier), records wall-time and events/sec per run, and writes the
+//! machine-readable `BENCH_cluster.json` (schema v4) used to track the
+//! simulator's performance trajectory across PRs.
 //!
 //! ```text
 //! cargo run --release -p bench --bin bench_cluster -- \
@@ -15,7 +14,7 @@
 //!   horizon, the Fig. 8c default trace) — the number quoted in
 //!   acceptance gates — plus a cloud-scale sweep (100 → 100k servers,
 //!   arrivals scaled proportionally, shorter horizons at the largest
-//!   sizes; the naive O(servers)-per-event column stops at 10k);
+//!   sizes);
 //! * `--small`: a CI-sized primary (20 servers, 6 h), no sweep;
 //! * `--scale`: the sweep only (skips the primary's repeat runs);
 //! * `--scale-smoke`: a single 1000-server, 2 h sweep cell for CI;
@@ -24,62 +23,50 @@
 //!   one per core; results are thread-count invariant, only wall time
 //!   moves).
 //!
-//! Output schema v3 (`BENCH_cluster.json`) — every row carries its full
+//! Output schema v4 (`BENCH_cluster.json`) — every row carries its full
 //! configuration (rows use different horizons, so per-row recording is
 //! the only unambiguous form):
 //!
 //! ```json
 //! {
-//!   "schema_version": 3,
+//!   "schema_version": 4,
 //!   "config": {"n_servers": ..., "horizon_hours": ..., "arrivals_per_hour": ...,
 //!              "cells": 1, "threads": 0, "runs": ...},
 //!   "runs": [{"wall_time_s": ..., "events": ..., "events_per_sec": ...}, ...],
 //!   "best": {...},
-//!   "naive": {"runs": [...], "best": {...}},
-//!   "speedup": ...,                    // indexed / naive best events/s
-//!   "hot_loop": {...},                 // scratch-buffer refactor note
 //!   "stats": {"launched": ..., "rejected": ..., ...},
 //!   "scale_sweep": [
 //!     {"config": {"n_servers": ..., "horizon_hours": ..., "arrivals_per_hour": ...,
 //!                 "cells": ..., "threads": ...},
-//!      "naive": {...} | null,          // null above 10k servers
 //!      "indexed": {...},               // single-cell
 //!      "sharded": {...},               // --cells cells, epoch barrier
-//!      "speedup_indexed_vs_naive": ... | null,
 //!      "speedup_sharded_vs_indexed": ...}, ...
 //!   ]
 //! }
 //! ```
 //!
-//! The naive and indexed columns run the identical simulation (the index
-//! is equivalence-tested to pick the same servers), so that speedup
-//! isolates the placement data structure. The sharded column partitions
-//! the fleet, so its result is a different (equally valid, deterministic)
-//! simulation; its speedup column measures the cellular decomposition —
-//! per-event placement cost drops from O(n_servers) to O(n_servers /
-//! cells) in the saturated regime, and cells run on all cores.
+//! The sharded column partitions the fleet, so its result is a different
+//! (equally valid, deterministic) simulation; its speedup column measures
+//! the cellular decomposition — per-event placement cost drops from
+//! O(n_servers) to O(n_servers / cells) in the saturated regime, and
+//! cells run on all cores. Schema v3 records (up to the removal of the
+//! pre-index scan) also carried a `naive` column timing that scan.
 
 use std::time::Instant;
 
 use cluster::{
-    run_cluster_sim, ClusterManagerConfig, ClusterSimConfig, PlacementEngine, ShardingConfig,
-    TraceConfig,
+    run_cluster_sim, ClusterManagerConfig, ClusterSimConfig, ShardingConfig, TraceConfig,
 };
 use simkit::{JsonValue, SimDuration};
 
 /// Offered load for the scale-sweep cells, in arrivals per server-hour.
 /// Chosen in the saturated/overload regime (mean utilization ≈ 0.985 at
 /// 1000 servers over 24 h, with sustained rejections) where nearly every
-/// arrival falls through the free tier into the availability tier — the
-/// naive scan's worst case (two full O(servers) passes per query) and
+/// arrival falls through the free tier into the availability tier —
 /// exactly the pressure the placement index exists to absorb. At light
 /// load most queries stop in the free tier after a handful of probes and
-/// placement is not the bottleneck in either engine.
+/// placement is not the bottleneck.
 const SWEEP_RATE_PER_SERVER_HOUR: f64 = 10.0;
-
-/// Largest fleet the naive O(servers)-per-event column still runs at;
-/// above this only indexed and sharded columns are measured.
-const NAIVE_MAX_SERVERS: usize = 10_000;
 
 struct BenchRun {
     wall_time_s: f64,
@@ -91,15 +78,13 @@ fn sim_cfg(
     n_servers: usize,
     horizon_hours: f64,
     rate: f64,
-    engine: PlacementEngine,
     sharding: ShardingConfig,
 ) -> ClusterSimConfig {
     ClusterSimConfig {
         manager: ClusterManagerConfig {
             n_servers,
-            engine,
             // Per-event trace strings cost more than the placement work
-            // being measured; off for BOTH columns so the comparison is
+            // being measured; off for both columns so the comparison is
             // placement-dominated rather than formatting-dominated.
             lifecycle_trace: false,
             ..ClusterManagerConfig::default()
@@ -205,18 +190,12 @@ fn main() {
     if let Some((n, hours, rate)) = cell {
         eprintln!("bench_cluster [cell]: {n} servers, {hours} h, {rate} arrivals/h");
         let (idx, r) = time_runs(
-            &sim_cfg(
-                n,
-                hours,
-                rate,
-                PlacementEngine::Indexed,
-                ShardingConfig::default(),
-            ),
+            &sim_cfg(n, hours, rate, ShardingConfig::default()),
             1,
             "indexed",
         );
         let (sha, _) = time_runs(
-            &sim_cfg(n, hours, rate, PlacementEngine::Indexed, sharding),
+            &sim_cfg(n, hours, rate, sharding),
             1,
             &format!("sharded(cells={cells_arg})"),
         );
@@ -228,52 +207,30 @@ fn main() {
         return;
     }
 
-    // Primary cell: repeated runs of both placement columns at one
-    // monolithic configuration — this is the acceptance-gate number and
+    // Primary cell: repeated runs at one monolithic configuration — this is the acceptance-gate number and
     // stays byte-identical to the golden-pinned simulator.
     let (n_servers, horizon_hours, rate, runs) = match mode {
         "small" => (20usize, 6.0f64, 120.0f64, 2usize),
         // The smoke's real payload is its 1000-server sweep cell; keep
         // the primary CI-sized.
         "scale-smoke" => (20, 6.0, 120.0, 1),
-        // "scale" keeps the paper-scale primary but runs each column once.
+        // "scale" keeps the paper-scale primary but runs it once.
         "scale" => (100, 24.0, 280.0, 1),
         _ => (100, 24.0, 280.0, 3),
     };
     eprintln!(
         "bench_cluster [{mode}]: {n_servers} servers, {horizon_hours} h horizon, \
-         {rate} arrivals/h, {runs} run(s) per column"
+         {rate} arrivals/h, {runs} run(s)"
     );
     let (indexed_runs, last) = time_runs(
-        &sim_cfg(
-            n_servers,
-            horizon_hours,
-            rate,
-            PlacementEngine::Indexed,
-            ShardingConfig::default(),
-        ),
+        &sim_cfg(n_servers, horizon_hours, rate, ShardingConfig::default()),
         runs,
         "indexed",
     );
-    let (naive_runs, _) = time_runs(
-        &sim_cfg(
-            n_servers,
-            horizon_hours,
-            rate,
-            PlacementEngine::BaselineScan,
-            ShardingConfig::default(),
-        ),
-        runs,
-        "naive",
-    );
-    let primary_speedup =
-        best(&indexed_runs).events_per_sec / best(&naive_runs).events_per_sec.max(1e-9);
-    eprintln!("  primary speedup (indexed/naive, best events/s): {primary_speedup:.2}x");
 
     // Scale sweep: arrivals scale with fleet size (see
     // SWEEP_RATE_PER_SERVER_HOUR), horizons shrink at the largest sizes
-    // so the single-cell column stays tractable. The naive column stops
-    // at NAIVE_MAX_SERVERS.
+    // so the single-cell column stays tractable.
     let sweep_cells: &[(usize, f64)] = match mode {
         "small" => &[],
         "scale-smoke" => &[(1000, 2.0)],
@@ -291,60 +248,31 @@ fn main() {
         let cell_rate = SWEEP_RATE_PER_SERVER_HOUR * n as f64;
         eprintln!("scale sweep: {n} servers, {hours} h, {cell_rate} arrivals/h");
         let (idx, _) = time_runs(
-            &sim_cfg(
-                n,
-                hours,
-                cell_rate,
-                PlacementEngine::Indexed,
-                ShardingConfig::default(),
-            ),
+            &sim_cfg(n, hours, cell_rate, ShardingConfig::default()),
             1,
             "indexed",
         );
-        let naive = (n <= NAIVE_MAX_SERVERS).then(|| {
-            time_runs(
-                &sim_cfg(
-                    n,
-                    hours,
-                    cell_rate,
-                    PlacementEngine::BaselineScan,
-                    ShardingConfig::default(),
-                ),
-                1,
-                "naive",
-            )
-            .0
-        });
         let (sha, _) = time_runs(
-            &sim_cfg(n, hours, cell_rate, PlacementEngine::Indexed, sharding),
+            &sim_cfg(n, hours, cell_rate, sharding),
             1,
             &format!("sharded(cells={cells_arg})"),
         );
         let speedup_sharded = sha[0].events_per_sec / idx[0].events_per_sec.max(1e-9);
         eprintln!("  {n} servers: sharded/indexed {speedup_sharded:.2}x");
-        let mut row = JsonValue::object()
-            .with(
-                "config",
-                row_config(n, hours, cell_rate, cells_arg, threads_arg),
-            )
-            .with("indexed", run_json(&idx[0]))
-            .with("sharded", run_json(&sha[0]))
-            .with("speedup_sharded_vs_indexed", speedup_sharded);
-        if let Some(nai) = naive {
-            let speedup_naive = idx[0].events_per_sec / nai[0].events_per_sec.max(1e-9);
-            row = row
-                .with("naive", run_json(&nai[0]))
-                .with("speedup_indexed_vs_naive", speedup_naive);
-        } else {
-            row = row
-                .with("naive", JsonValue::Null)
-                .with("speedup_indexed_vs_naive", JsonValue::Null);
-        }
-        sweep_json.push(row);
+        sweep_json.push(
+            JsonValue::object()
+                .with(
+                    "config",
+                    row_config(n, hours, cell_rate, cells_arg, threads_arg),
+                )
+                .with("indexed", run_json(&idx[0]))
+                .with("sharded", run_json(&sha[0]))
+                .with("speedup_sharded_vs_indexed", speedup_sharded),
+        );
     }
 
     let doc = JsonValue::object()
-        .with("schema_version", 3.0)
+        .with("schema_version", 4.0)
         .with(
             "config",
             row_config(n_servers, horizon_hours, rate, 1, 0).with("runs", runs as f64),
@@ -354,27 +282,6 @@ fn main() {
             JsonValue::Arr(indexed_runs.iter().map(run_json).collect()),
         )
         .with("best", run_json(best(&indexed_runs)))
-        .with(
-            "naive",
-            JsonValue::object()
-                .with(
-                    "runs",
-                    JsonValue::Arr(naive_runs.iter().map(run_json).collect()),
-                )
-                .with("best", run_json(best(&naive_runs))),
-        )
-        .with("speedup", primary_speedup)
-        .with(
-            "hot_loop",
-            JsonValue::object().with(
-                "note",
-                "per-event heap allocations removed from the simulate/reclaim hot paths \
-                 (scratch buffers for make_room plans, preemption candidates, distress \
-                 samples, crash victim lists); before/after indexed events/s on the same \
-                 host: 10k-server sweep row 29753 -> 31753 (+6.7%), 5k row 101646 -> \
-                 105907 (+4.2%); the 100-server primary is noise-dominated at <50 ms wall",
-            ),
-        )
         .with(
             "stats",
             JsonValue::object()

@@ -13,98 +13,91 @@ use std::sync::Mutex;
 pub mod figs;
 pub mod sweep;
 
-/// Resilience counters every figure binary reports even when the run
-/// injected no faults (they print as zero). `fault.injected.*` keys join
-/// these dynamically as simulations record them.
-pub const FAULT_COUNTER_KEYS: [&str; 3] = [
-    "cluster.server_crashes",
-    "cluster.unresponsive_vms",
-    "cascade.retries",
+/// One section of every figure binary's run summary that hoists
+/// counters out of the cluster simulations the figure ran.
+struct CounterSection {
+    /// Section name in the run summary.
+    name: &'static str,
+    /// Counters reported even when no simulation recorded them (they
+    /// print as zero).
+    keys: &'static [&'static str],
+    /// Any other counter whose name starts with one of these joins the
+    /// section once a simulation records it.
+    prefixes: &'static [&'static str],
+}
+
+impl CounterSection {
+    fn holds(&self, key: &str) -> bool {
+        self.keys.contains(&key) || self.prefixes.iter().any(|p| key.starts_with(p))
+    }
+}
+
+/// The run-summary counter sections, in output order: faults and
+/// resilience, guest distress, live migration, control-plane failover.
+const COUNTER_SECTIONS: [CounterSection; 4] = [
+    CounterSection {
+        name: "faults",
+        keys: &[
+            "cluster.server_crashes",
+            "cluster.unresponsive_vms",
+            "cascade.retries",
+        ],
+        prefixes: &["fault."],
+    },
+    CounterSection {
+        name: "distress",
+        keys: &[
+            "cluster.oom_kills",
+            "cluster.emergency_reinflations",
+            "cluster.breaker_trips",
+            "cluster.distress_seconds",
+        ],
+        prefixes: &["distress."],
+    },
+    CounterSection {
+        name: "migration",
+        keys: &[
+            "cluster.migrations",
+            "cluster.migrations_started",
+            "cluster.migrations_aborted",
+            "cluster.migration_mb",
+            "cluster.drains",
+        ],
+        prefixes: &["migration.", "cluster.defrag"],
+    },
+    CounterSection {
+        name: "failover",
+        keys: &[
+            "fault.manager_crashes",
+            "cluster.recovery_scans",
+            "cluster.recovery_inventory_servers",
+            "cluster.recovery_divergence",
+            "cluster.admission_queue_parked",
+            "cluster.admission_queue_overflow",
+        ],
+        prefixes: &["cluster.admission_queue_", "cluster.recovery_"],
+    },
 ];
 
-/// Guest-distress counters every figure binary reports even when the
-/// distress loop never ran (they print as zero). `distress.*` keys join
-/// these dynamically as simulations record them.
-pub const DISTRESS_COUNTER_KEYS: [&str; 4] = [
-    "cluster.oom_kills",
-    "cluster.emergency_reinflations",
-    "cluster.breaker_trips",
-    "cluster.distress_seconds",
-];
+/// Process-wide accumulator of every counter some [`COUNTER_SECTIONS`]
+/// row holds, scraped from cluster-simulation run summaries; printed by
+/// [`run_summary`].
+static SIM_COUNTERS: Mutex<BTreeMap<String, f64>> = Mutex::new(BTreeMap::new());
 
-/// Live-migration counters every figure binary reports even when
-/// migration never ran (they print as zero). `migration.*` keys join
-/// these dynamically as simulations record them.
-pub const MIGRATION_COUNTER_KEYS: [&str; 5] = [
-    "cluster.migrations",
-    "cluster.migrations_started",
-    "cluster.migrations_aborted",
-    "cluster.migration_mb",
-    "cluster.drains",
-];
-
-/// Control-plane failover counters every figure binary reports even when
-/// the manager never crashed (they print as zero). The remaining
-/// `cluster.admission_queue_*` / `cluster.recovery_*` keys join these
-/// dynamically as simulations record them.
-pub const FAILOVER_COUNTER_KEYS: [&str; 6] = [
-    "fault.manager_crashes",
-    "cluster.recovery_scans",
-    "cluster.recovery_inventory_servers",
-    "cluster.recovery_divergence",
-    "cluster.admission_queue_parked",
-    "cluster.admission_queue_overflow",
-];
-
-/// Process-wide accumulator of fault-related counters scraped from
-/// cluster-simulation run summaries; printed by [`run_summary`].
-static SIM_FAULT_COUNTERS: Mutex<BTreeMap<String, f64>> = Mutex::new(BTreeMap::new());
-
-/// Same, for the guest-distress counters.
-static SIM_DISTRESS_COUNTERS: Mutex<BTreeMap<String, f64>> = Mutex::new(BTreeMap::new());
-
-/// Same, for the live-migration counters.
-static SIM_MIGRATION_COUNTERS: Mutex<BTreeMap<String, f64>> = Mutex::new(BTreeMap::new());
-
-/// Same, for the control-plane failover counters.
-static SIM_FAILOVER_COUNTERS: Mutex<BTreeMap<String, f64>> = Mutex::new(BTreeMap::new());
-
-/// Folds the fault/resilience counters (`fault.injected.*`, server
-/// crashes, unresponsive agents, cascade retries) and the guest-distress
-/// counters (`distress.*`, OOM kills, emergency reinflations, breaker
-/// trips) of one cluster-sim run summary into the accumulators behind
-/// every fig binary's run summary. Figures that run `run_cluster_sim`
-/// call this once per result so fault and distress activity is visible
-/// without each figure printing its own columns.
+/// Folds the counters of one cluster-sim run summary that belong to any
+/// [`COUNTER_SECTIONS`] row into the accumulator behind every fig
+/// binary's run summary. Figures that run `run_cluster_sim` call this
+/// once per result so fault, distress, migration and failover activity
+/// is visible without each figure printing its own columns.
 pub fn record_sim_summary(doc: &simkit::JsonValue) {
     let Some(counters) = doc.get("counters").and_then(|c| c.as_object()) else {
         return;
     };
-    let mut faults = SIM_FAULT_COUNTERS.lock().expect("fault accumulator");
-    let mut distress = SIM_DISTRESS_COUNTERS.lock().expect("distress accumulator");
-    let mut migration = SIM_MIGRATION_COUNTERS
-        .lock()
-        .expect("migration accumulator");
-    let mut failover = SIM_FAILOVER_COUNTERS.lock().expect("failover accumulator");
+    let mut acc = SIM_COUNTERS.lock().expect("sim counter accumulator");
     for (k, v) in counters {
         let Some(n) = v.as_f64() else { continue };
-        if k.starts_with("fault.") || FAULT_COUNTER_KEYS.contains(&k.as_str()) {
-            *faults.entry(k.clone()).or_insert(0.0) += n;
-        }
-        if k.starts_with("distress.") || DISTRESS_COUNTER_KEYS.contains(&k.as_str()) {
-            *distress.entry(k.clone()).or_insert(0.0) += n;
-        }
-        if k.starts_with("migration.")
-            || k.starts_with("cluster.defrag")
-            || MIGRATION_COUNTER_KEYS.contains(&k.as_str())
-        {
-            *migration.entry(k.clone()).or_insert(0.0) += n;
-        }
-        if k == "fault.manager_crashes"
-            || k.starts_with("cluster.admission_queue_")
-            || k.starts_with("cluster.recovery_")
-        {
-            *failover.entry(k.clone()).or_insert(0.0) += n;
+        if COUNTER_SECTIONS.iter().any(|sec| sec.holds(k)) {
+            *acc.entry(k.clone()).or_insert(0.0) += n;
         }
     }
 }
@@ -234,50 +227,17 @@ pub fn run_summary(run: &str, tables: &[Table], wall_time_s: f64) -> simkit::Jso
         );
     }
     doc.set("tables", tables_json);
-    let mut faults = simkit::JsonValue::object();
-    for key in FAULT_COUNTER_KEYS {
-        faults.set(key, 0.0);
+    let acc = SIM_COUNTERS.lock().expect("sim counter accumulator");
+    for sec in &COUNTER_SECTIONS {
+        let mut section = simkit::JsonValue::object();
+        for key in sec.keys {
+            section.set(key, 0.0);
+        }
+        for (k, v) in acc.iter().filter(|(k, _)| sec.holds(k)) {
+            section.set(k, *v);
+        }
+        doc.set(sec.name, section);
     }
-    for (k, v) in SIM_FAULT_COUNTERS.lock().expect("fault accumulator").iter() {
-        faults.set(k, *v);
-    }
-    doc.set("faults", faults);
-    let mut distress = simkit::JsonValue::object();
-    for key in DISTRESS_COUNTER_KEYS {
-        distress.set(key, 0.0);
-    }
-    for (k, v) in SIM_DISTRESS_COUNTERS
-        .lock()
-        .expect("distress accumulator")
-        .iter()
-    {
-        distress.set(k, *v);
-    }
-    doc.set("distress", distress);
-    let mut migration = simkit::JsonValue::object();
-    for key in MIGRATION_COUNTER_KEYS {
-        migration.set(key, 0.0);
-    }
-    for (k, v) in SIM_MIGRATION_COUNTERS
-        .lock()
-        .expect("migration accumulator")
-        .iter()
-    {
-        migration.set(k, *v);
-    }
-    doc.set("migration", migration);
-    let mut failover = simkit::JsonValue::object();
-    for key in FAILOVER_COUNTER_KEYS {
-        failover.set(key, 0.0);
-    }
-    for (k, v) in SIM_FAILOVER_COUNTERS
-        .lock()
-        .expect("failover accumulator")
-        .iter()
-    {
-        failover.set(k, *v);
-    }
-    doc.set("failover", failover);
     doc
 }
 
@@ -352,6 +312,13 @@ mod tests {
         t.row(vec!["1".into()]);
     }
 
+    fn section(name: &str) -> &'static CounterSection {
+        COUNTER_SECTIONS
+            .iter()
+            .find(|sec| sec.name == name)
+            .expect("known section")
+    }
+
     #[test]
     fn run_summary_is_machine_readable() {
         let doc = run_summary("figX", &[sample(), sample()], 0.25);
@@ -382,7 +349,7 @@ mod tests {
         // The resilience counters are always present (zero by default)…
         let doc = run_summary("figY", &[sample()], 0.1);
         let faults = doc.get("faults").expect("faults section");
-        for key in FAULT_COUNTER_KEYS {
+        for key in section("faults").keys {
             assert!(
                 faults.get(key).and_then(|v| v.as_f64()).is_some(),
                 "{key} missing"
@@ -413,7 +380,7 @@ mod tests {
         // The distress counters are always present (zero by default)…
         let doc = run_summary("figZ", &[sample()], 0.1);
         let distress = doc.get("distress").expect("distress section");
-        for key in DISTRESS_COUNTER_KEYS {
+        for key in section("distress").keys {
             assert!(
                 distress.get(key).and_then(|v| v.as_f64()).is_some(),
                 "{key} missing"
@@ -443,7 +410,7 @@ mod tests {
         // The migration counters are always present (zero by default)…
         let doc = run_summary("figM", &[sample()], 0.1);
         let migration = doc.get("migration").expect("migration section");
-        for key in MIGRATION_COUNTER_KEYS {
+        for key in section("migration").keys {
             assert!(
                 migration.get(key).and_then(|v| v.as_f64()).is_some(),
                 "{key} missing"
@@ -475,7 +442,7 @@ mod tests {
         // The failover counters are always present (zero by default)…
         let doc = run_summary("figF", &[sample()], 0.1);
         let failover = doc.get("failover").expect("failover section");
-        for key in FAILOVER_COUNTER_KEYS {
+        for key in section("failover").keys {
             assert!(
                 failover.get(key).and_then(|v| v.as_f64()).is_some(),
                 "{key} missing"

@@ -47,7 +47,7 @@ pub use manager::{
 };
 pub use migration::MigrationPolicy;
 pub use partition::{DivergenceEvent, DivergenceLog, Reachability, ReconcileOutcome};
-pub use placement::{AvailabilityMode, PlacementEngine, PlacementPolicy};
+pub use placement::{AvailabilityMode, PlacementPolicy};
 pub use placement_index::PlacementIndex;
 pub use predictor::{DemandPredictor, Ewma};
 pub use pricing::{revenue, Rates, Revenue, TransientPricing};

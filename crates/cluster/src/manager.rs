@@ -22,10 +22,9 @@ use crate::migration::MigrationPolicy;
 use crate::partition::{
     DivergenceEvent, DivergenceLog, PartitionSession, Reachability, ReconcileOutcome,
 };
-use crate::placement::{
-    avail_from_free, choose_server_baseline, choose_server_with, AvailabilityMode, PlacementEngine,
-    PlacementPolicy,
-};
+#[cfg(debug_assertions)]
+use crate::placement::{best_headroom_with, choose_server_with};
+use crate::placement::{AvailabilityMode, PlacementPolicy};
 
 use crate::placement_index::PlacementIndex;
 use crate::predictor::DemandPredictor;
@@ -75,13 +74,6 @@ pub struct ClusterManagerConfig {
     /// cascade deadlines is declared unresponsive and pivoted to
     /// hypervisor-only deflation. 0 disables the escalation.
     pub unresponsive_after: u32,
-    /// Which implementation answers placement queries: the
-    /// incrementally-maintained [`PlacementIndex`] (default), the fused
-    /// naive scan (the equivalence oracle), or the preserved pre-index
-    /// two-pass scan (the benchmark baseline). All three pick the *same*
-    /// server on the same RNG stream; the index is only maintained when
-    /// it is the active engine, so the scan engines pay no index cost.
-    pub engine: PlacementEngine,
     /// Record the per-event lifecycle trace (launch/exit/deflate/
     /// reinflate/preempt records and `make_room` spans). On by default;
     /// timing harnesses turn it off because the per-event string
@@ -114,7 +106,6 @@ impl Default for ClusterManagerConfig {
             seed: 1,
             faults: FaultPlan::none(),
             unresponsive_after: 3,
-            engine: PlacementEngine::Indexed,
             lifecycle_trace: true,
             distress: DistressConfig::none(),
             migration: MigrationPolicy::none(),
@@ -365,7 +356,7 @@ pub struct ClusterManager {
     /// [`ReclaimSession`] is ever dropped unconsumed.
     leaked_seen: u64,
     /// Incrementally-maintained placement index (refreshed after every
-    /// server mutation while `cfg.engine` is [`PlacementEngine::Indexed`]).
+    /// server mutation); answers every placement and destination query.
     pindex: PlacementIndex,
     /// Control-plane liveness per server (`Up` / `Partitioned` / `Down`),
     /// orthogonal to the physical `up` flag.
@@ -455,62 +446,39 @@ impl ClusterManager {
         }
     }
 
-    /// One placement query, answered by the configured engine. The
-    /// engines are equivalence-tested to pick the same server, so this
-    /// is purely a performance switch; debug builds additionally
-    /// cross-check every indexed answer against the naive oracle (on a
+    /// One placement query, answered by the placement index. Debug
+    /// builds cross-check every answer against the naive oracle (on a
     /// cloned RNG, so both consume the identical stream).
     fn place(&mut self, demand: &ResourceVector, mode: AvailabilityMode) -> Option<usize> {
-        match self.cfg.engine {
-            PlacementEngine::Indexed => {
-                #[cfg(debug_assertions)]
-                let mut oracle_rng = self.rng.clone();
-                let choice = self.pindex.choose(
-                    self.cfg.placement,
-                    &self.servers,
-                    demand,
-                    mode,
-                    &mut self.rng,
-                );
-                #[cfg(debug_assertions)]
-                debug_assert_eq!(
-                    choice,
-                    choose_server_with(
-                        self.cfg.placement,
-                        &self.servers,
-                        demand,
-                        mode,
-                        &mut oracle_rng
-                    ),
-                    "placement index diverged from the naive scan"
-                );
-                choice
-            }
-            PlacementEngine::NaiveScan => choose_server_with(
+        #[cfg(debug_assertions)]
+        let mut oracle_rng = self.rng.clone();
+        let choice = self.pindex.choose(
+            self.cfg.placement,
+            &self.servers,
+            demand,
+            mode,
+            &mut self.rng,
+        );
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            choice,
+            choose_server_with(
                 self.cfg.placement,
                 &self.servers,
                 demand,
                 mode,
-                &mut self.rng,
+                &mut oracle_rng
             ),
-            PlacementEngine::BaselineScan => choose_server_baseline(
-                self.cfg.placement,
-                &self.servers,
-                demand,
-                mode,
-                &mut self.rng,
-            ),
-        }
+            "placement index diverged from the naive scan"
+        );
+        choice
     }
 
     /// Re-derives the placement index's cached entry for one server;
     /// call after any mutation of that server. No-op when the server's
-    /// mutation counter is unchanged, and skipped entirely when a scan
-    /// engine is active (the scans read live server state).
+    /// mutation counter is unchanged.
     fn refresh_index(&mut self, si: usize) {
-        if self.cfg.engine == PlacementEngine::Indexed {
-            self.pindex.refresh(si, &self.servers[si]);
-        }
+        self.pindex.refresh(si, &self.servers[si]);
     }
 
     /// Applies a touched server's aggregate delta to the cluster totals.
@@ -804,9 +772,7 @@ impl ClusterManager {
                  (must be parked in the sessions)"
             );
         }
-        if self.cfg.engine == PlacementEngine::Indexed {
-            self.pindex.assert_consistent(&self.servers);
-        }
+        self.pindex.assert_consistent(&self.servers);
     }
 
     /// Computes the per-VM fault conditions one reclamation round on
@@ -1759,31 +1725,20 @@ impl ClusterManager {
 
     /// The best migration destination for `demand`: the up server with
     /// the most deflation-aware headroom that can cover it, excluding
-    /// the source. Deterministic and RNG-free for every engine — the
-    /// indexed engine answers from cached availability vectors in one
-    /// pass; scan engines rank live state the same way (dominating
-    /// availability, largest norm, ties to the lowest index).
+    /// the source. Deterministic and RNG-free: the index answers from
+    /// cached availability vectors in one pass, and debug builds
+    /// cross-check it against the naive scan.
     fn find_destination(&self, demand: &ResourceVector, exclude: usize) -> Option<usize> {
-        if self.cfg.engine == PlacementEngine::Indexed {
-            return self
-                .pindex
-                .best_headroom(&self.servers, demand, Some(exclude));
-        }
-        let mut best: Option<(usize, f64)> = None;
-        for (i, s) in self.servers.iter().enumerate() {
-            if i == exclude || !s.placeable() {
-                continue;
-            }
-            let avail = avail_from_free(s, &s.free(), AvailabilityMode::Deflation);
-            if !avail.dominates(demand) {
-                continue;
-            }
-            let norm = avail.norm();
-            if best.map_or(true, |(_, bn)| norm > bn) {
-                best = Some((i, norm));
-            }
-        }
-        best.map(|(i, _)| i)
+        let dest = self
+            .pindex
+            .best_headroom(&self.servers, demand, Some(exclude));
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            dest,
+            best_headroom_with(&self.servers, demand, Some(exclude)),
+            "placement index diverged from the naive destination scan"
+        );
+        dest
     }
 
     /// Starts a live migration for `vm`: picks the destination with the
@@ -2474,9 +2429,7 @@ impl ClusterManager {
         }
         // The placement index is derived state too: rebuild wholesale
         // from the scanned servers.
-        if self.cfg.engine == PlacementEngine::Indexed {
-            self.pindex = PlacementIndex::new(&self.servers);
-        }
+        self.pindex = PlacementIndex::new(&self.servers);
         let m = &mut self.obs.metrics;
         m.incr("cluster.recovery_scans");
         m.add("cluster.recovery_inventory_servers", scanned);
@@ -3397,6 +3350,7 @@ mod tests {
 
     // ─────────────────────── partition tests ───────────────────────
 
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "already partitioned")]
     fn double_partition_debug_panics() {
@@ -3408,6 +3362,7 @@ mod tests {
         m.partition_server(SimTime::from_secs(11), ServerId(0));
     }
 
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "is not partitioned")]
     fn heal_of_unpartitioned_debug_panics() {

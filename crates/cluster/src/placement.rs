@@ -10,18 +10,14 @@
 //! Selection is two-tier: servers whose *free* resources already cover
 //! the demand are strictly preferred (placing there disrupts nobody);
 //! only when none exists does the reclaimable availability of the given
-//! [`AvailabilityMode`] come into play. Both tiers run in a single fused
-//! scan — each server's free vector is computed once and reused to derive
-//! its availability, instead of the former two full passes through a
-//! `&dyn Fn` availability closure.
+//! [`AvailabilityMode`] come into play.
 //!
-//! [`choose_server_with`] is the naive O(servers) oracle; the
-//! [`PlacementIndex`](crate::PlacementIndex) answers the same queries
-//! sublinearly and is equivalence-checked against this implementation
-//! (same tie-breaking, same RNG draws, same chosen server). The
-//! pre-index two-pass implementation survives as
-//! [`choose_server_baseline`], the baseline `bench_cluster` measures
-//! speedups against; [`PlacementEngine`] selects between the three.
+//! The cluster manager answers every query from the
+//! [`PlacementIndex`](crate::PlacementIndex). The two full scans here are
+//! its oracles, one per query type: [`choose_server_with`] for placement
+//! and [`best_headroom_with`] for migration destinations. Debug builds
+//! cross-check every indexed answer against them (same tie-breaking,
+//! same RNG draws, same chosen server).
 
 use deflate_core::ResourceVector;
 use hypervisor::PhysicalServer;
@@ -35,10 +31,6 @@ pub enum AvailabilityMode {
     /// A preemption-only manager: `free + preemptible` (low-priority VMs
     /// can be killed to make room).
     PreemptionOnly,
-}
-
-fn availability(server: &PhysicalServer, mode: AvailabilityMode) -> ResourceVector {
-    avail_from_free(server, &server.free(), mode)
 }
 
 /// The mode's availability vector, derived from an already-computed free
@@ -97,23 +89,6 @@ pub(crate) fn draw_pair(rng: &mut SimRng, n: usize) -> (usize, usize) {
     (a, b)
 }
 
-/// Which implementation answers the manager's placement queries. All
-/// three are equivalence-tested to pick the *same server* on the same
-/// RNG stream; they differ only in how much work a query costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlacementEngine {
-    /// The incrementally-maintained sublinear
-    /// [`PlacementIndex`](crate::PlacementIndex) (the default).
-    Indexed,
-    /// [`choose_server_with`]: one fused O(servers) scan, no dyn
-    /// dispatch. Kept behind this config knob as the equivalence oracle.
-    NaiveScan,
-    /// [`choose_server_baseline`]: the pre-index implementation (two
-    /// full passes through a `&dyn Fn` availability closure, fitness
-    /// recomputed per candidate), preserved as the benchmark baseline.
-    BaselineScan,
-}
-
 /// A VM placement policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementPolicy {
@@ -143,44 +118,15 @@ impl PlacementPolicy {
     }
 }
 
-/// Fitness of placing `demand` on `server`: cosine similarity between the
-/// demand and the availability vector (0 when the VM does not fit at all).
-pub fn fitness(server: &PhysicalServer, demand: &ResourceVector) -> f64 {
-    fitness_with(server, demand, AvailabilityMode::Deflation)
-}
-
-/// [`fitness`] under an explicit availability mode.
-pub fn fitness_with(
-    server: &PhysicalServer,
-    demand: &ResourceVector,
-    mode: AvailabilityMode,
-) -> f64 {
-    let avail = availability(server, mode);
-    if !(server.placeable() && avail.dominates(demand)) {
-        return 0.0;
-    }
-    avail.cosine_similarity(demand)
-}
-
-/// Picks a server for `demand` under `policy`; returns its index, or
-/// `None` when no server fits even after full reclamation.
-pub fn choose_server(
-    policy: PlacementPolicy,
-    servers: &[PhysicalServer],
-    demand: &ResourceVector,
-    rng: &mut SimRng,
-) -> Option<usize> {
-    choose_server_with(policy, servers, demand, AvailabilityMode::Deflation, rng)
-}
-
-/// [`choose_server`] under an explicit availability mode: the naive
-/// full-scan oracle.
+/// Picks a server for `demand` under `policy` and `mode`; returns its
+/// index, or `None` when no server fits even after full reclamation. The
+/// naive full-scan oracle of
+/// [`PlacementIndex::choose`](crate::PlacementIndex::choose).
 ///
 /// One fused pass evaluates both tiers. Per candidate the free vector is
 /// computed once; the mode availability is derived from it only while the
 /// free tier is still empty (a free-tier hit makes the availability tier
-/// unreachable, so the work is skipped). Availability dispatch is static —
-/// no per-candidate `dyn Fn`.
+/// unreachable, so the work is skipped).
 pub fn choose_server_with(
     policy: PlacementPolicy,
     servers: &[PhysicalServer],
@@ -283,68 +229,31 @@ pub fn choose_server_with(
     }
 }
 
-/// The placement implementation this PR's index replaced, preserved as
-/// the benchmark baseline (and a second equivalence oracle): every query
-/// runs up to two full O(servers) passes — a free pass, then an
-/// availability pass — through a `&dyn Fn` availability closure, with
-/// the availability vector rebuilt and the cosine fitness recomputed per
-/// candidate. `bench_cluster`'s `naive` column runs this engine, so the
-/// recorded speedups measure the index against the code it replaced.
-///
-/// The one departure from the pre-index code is the `TwoChoices`
-/// distinct-pair bugfix, a semantics fix that must hold across every
-/// engine for all three to stay choice-identical on one RNG stream;
-/// `TwoChoices` therefore shares the fused implementation (its common
-/// case was never a full scan, so nothing baseline-relevant is lost).
-pub fn choose_server_baseline(
-    policy: PlacementPolicy,
+/// The best migration destination for `demand`: the placeable server
+/// (other than `exclude`) whose Deflation-mode availability dominates
+/// `demand`, ranked by that availability's norm, ties to the lowest
+/// index. Draws no RNG. The naive full-scan oracle of
+/// [`PlacementIndex::best_headroom`](crate::PlacementIndex::best_headroom).
+pub fn best_headroom_with(
     servers: &[PhysicalServer],
     demand: &ResourceVector,
-    mode: AvailabilityMode,
-    rng: &mut SimRng,
+    exclude: Option<usize>,
 ) -> Option<usize> {
-    if policy == PlacementPolicy::TwoChoices {
-        return choose_server_with(policy, servers, demand, mode, rng);
-    }
-    let free_pass = baseline_pick(policy, servers, demand, &|s: &PhysicalServer| s.free());
-    if free_pass.is_some() {
-        return free_pass;
-    }
-    baseline_pick(policy, servers, demand, &|s: &PhysicalServer| {
-        availability(s, mode)
-    })
-}
-
-/// One full selection pass of the baseline scan: dyn-dispatched
-/// availability, rebuilt once to test fit and again to score.
-fn baseline_pick(
-    policy: PlacementPolicy,
-    servers: &[PhysicalServer],
-    demand: &ResourceVector,
-    avail: &dyn Fn(&PhysicalServer) -> ResourceVector,
-) -> Option<usize> {
-    let fits = |s: &PhysicalServer| s.placeable() && avail(s).dominates(demand);
-    let sc = |s: &PhysicalServer| {
-        let a = avail(s);
-        (a.cosine_similarity(demand), a.norm())
-    };
-    match policy {
-        PlacementPolicy::FirstFit => servers.iter().position(fits),
-        PlacementPolicy::BestFit => {
-            let mut best: Option<(usize, (f64, f64))> = None;
-            for (i, s) in servers.iter().enumerate() {
-                if !fits(s) {
-                    continue;
-                }
-                let cand = sc(s);
-                if best.map_or(true, |(_, bs)| better(cand, bs)) {
-                    best = Some((i, cand));
-                }
-            }
-            best.map(|(i, _)| i)
+    let mut best: Option<(usize, f64)> = None;
+    for (i, s) in servers.iter().enumerate() {
+        if Some(i) == exclude || !s.placeable() {
+            continue;
         }
-        PlacementPolicy::TwoChoices => unreachable!("TwoChoices shares the fused scan"),
+        let avail = avail_from_free(s, &s.free(), AvailabilityMode::Deflation);
+        if !avail.dominates(demand) {
+            continue;
+        }
+        let norm = avail.norm();
+        if best.map_or(true, |(_, bn)| norm > bn) {
+            best = Some((i, norm));
+        }
     }
+    best.map(|(i, _)| i)
 }
 
 #[cfg(test)]
@@ -375,7 +284,13 @@ mod tests {
             ss[0].add_vm(Vm::new(VmId(100 + i), vm_spec(), VmPriority::High));
         }
         let mut rng = SimRng::seed_from_u64(1);
-        let pick = choose_server(PlacementPolicy::FirstFit, &ss, &vm_spec(), &mut rng);
+        let pick = choose_server_with(
+            PlacementPolicy::FirstFit,
+            &ss,
+            &vm_spec(),
+            AvailabilityMode::Deflation,
+            &mut rng,
+        );
         assert_eq!(pick, Some(1));
     }
 
@@ -391,7 +306,13 @@ mod tests {
         ));
         let demand = ResourceVector::new(8.0, 4_096.0, 10.0, 10.0);
         let mut rng = SimRng::seed_from_u64(1);
-        let pick = choose_server(PlacementPolicy::BestFit, &ss, &demand, &mut rng);
+        let pick = choose_server_with(
+            PlacementPolicy::BestFit,
+            &ss,
+            &demand,
+            AvailabilityMode::Deflation,
+            &mut rng,
+        );
         assert_eq!(pick, Some(0));
     }
 
@@ -402,7 +323,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(1);
         for p in PlacementPolicy::ALL {
             assert_eq!(
-                choose_server(p, &ss, &demand, &mut rng),
+                choose_server_with(p, &ss, &demand, AvailabilityMode::Deflation, &mut rng),
                 None,
                 "{}",
                 p.name()
@@ -419,7 +340,13 @@ mod tests {
         }
         assert!(ss[0].free().is_zero());
         let mut rng = SimRng::seed_from_u64(1);
-        let pick = choose_server(PlacementPolicy::BestFit, &ss, &vm_spec(), &mut rng);
+        let pick = choose_server_with(
+            PlacementPolicy::BestFit,
+            &ss,
+            &vm_spec(),
+            AvailabilityMode::Deflation,
+            &mut rng,
+        );
         assert_eq!(pick, Some(0));
     }
 
@@ -433,7 +360,13 @@ mod tests {
         }
         let mut rng = SimRng::seed_from_u64(9);
         for _ in 0..50 {
-            let pick = choose_server(PlacementPolicy::TwoChoices, &ss, &vm_spec(), &mut rng);
+            let pick = choose_server_with(
+                PlacementPolicy::TwoChoices,
+                &ss,
+                &vm_spec(),
+                AvailabilityMode::Deflation,
+                &mut rng,
+            );
             assert_eq!(pick, Some(3));
         }
     }
@@ -457,7 +390,13 @@ mod tests {
         assert!(ss[0].free().dominates(&demand), "both must free-fit");
         for seed in 0..100 {
             let mut rng = SimRng::seed_from_u64(seed);
-            let pick = choose_server(PlacementPolicy::TwoChoices, &ss, &demand, &mut rng);
+            let pick = choose_server_with(
+                PlacementPolicy::TwoChoices,
+                &ss,
+                &demand,
+                AvailabilityMode::Deflation,
+                &mut rng,
+            );
             assert_eq!(pick, Some(1), "seed {seed} degenerated to one choice");
         }
     }
@@ -480,11 +419,21 @@ mod tests {
     }
 
     #[test]
-    fn fitness_zero_when_not_fitting() {
-        let mut ss = servers(1);
-        for i in 0..4 {
+    fn best_headroom_takes_roomiest_fit_outside_exclude() {
+        let mut ss = servers(3);
+        // Server 0 keeps one VM of room, server 1 stays empty, server 2
+        // is full of high-priority VMs.
+        for i in 0..3 {
             ss[0].add_vm(Vm::new(VmId(i), vm_spec(), VmPriority::High));
         }
-        assert_eq!(fitness(&ss[0], &vm_spec()), 0.0);
+        for i in 0..4 {
+            ss[2].add_vm(Vm::new(VmId(10 + i), vm_spec(), VmPriority::High));
+        }
+        assert_eq!(best_headroom_with(&ss, &vm_spec(), None), Some(1));
+        assert_eq!(best_headroom_with(&ss, &vm_spec(), Some(1)), Some(0));
+        assert_eq!(
+            best_headroom_with(&ss, &vm_spec().scale(2.0), Some(1)),
+            None
+        );
     }
 }

@@ -510,6 +510,8 @@ impl PlacementIndex {
     /// no RNG and prefers the *roomiest* host rather than the tightest
     /// fit — a migration destination should absorb the VM with as little
     /// donor deflation as possible. Ties keep the lowest server index.
+    /// The naive oracle is
+    /// [`best_headroom_with`](crate::placement::best_headroom_with).
     pub fn best_headroom(
         &self,
         servers: &[PhysicalServer],

@@ -1477,53 +1477,30 @@ mod tests {
         assert_eq!(a.summary.to_string(), b.summary.to_string());
     }
 
-    /// Every placement engine must be *byte-identical* to the others:
-    /// same servers chosen at every decision, hence the same run
-    /// summary — for the default fig8c configuration (100 servers, 24 h,
-    /// default trace seed) and, at reduced horizon, for every policy ×
-    /// availability-mode combination.
+    /// End-to-end placement equivalence: whole simulations through the
+    /// placement index, for the default fig8c configuration (100
+    /// servers, 24 h, default trace seed) and, at reduced horizon, for
+    /// every policy × availability-mode combination. Every placement and
+    /// migration-destination query cross-checks the index against the
+    /// naive scan oracles and panics on the first divergent decision.
+    /// Those cross-checks exist only under `debug_assertions` (how the
+    /// tier-1 suite runs); a release run of this test checks only that
+    /// the configs simulate to completion.
     #[test]
-    fn indexed_placement_is_byte_identical_to_naive_scan() {
-        use crate::placement::PlacementEngine;
-        let run_with = |mut cfg: ClusterSimConfig, engine: PlacementEngine| {
-            cfg.manager.engine = engine;
-            run_cluster_sim(&cfg)
-        };
+    fn indexed_placement_matches_naive_scan_end_to_end() {
         // The default fig8c cell, full scale.
-        let base = ClusterSimConfig::default();
-        let naive = run_with(base.clone(), PlacementEngine::NaiveScan);
-        let baseline = run_with(base.clone(), PlacementEngine::BaselineScan);
-        let fast = run_with(base, PlacementEngine::Indexed);
-        assert!(naive.stats.launched > 1000, "run must be non-trivial");
-        assert_eq!(
-            fast.summary.to_string(),
-            naive.summary.to_string(),
-            "default fig8c config diverged (indexed vs naive)"
-        );
-        assert_eq!(
-            baseline.summary.to_string(),
-            naive.summary.to_string(),
-            "default fig8c config diverged (baseline vs naive)"
-        );
+        let r = run_cluster_sim(&ClusterSimConfig::default());
+        assert!(r.stats.launched > 1000, "run must be non-trivial");
         // Every policy × mode, smaller but still loaded.
         for policy in PlacementPolicy::ALL {
             for deflation in [true, false] {
                 let mut cfg = test_cfg(deflation, 150.0);
                 cfg.manager.placement = policy;
                 cfg.horizon = SimDuration::from_hours(6);
-                let naive = run_with(cfg.clone(), PlacementEngine::NaiveScan);
-                let baseline = run_with(cfg.clone(), PlacementEngine::BaselineScan);
-                let fast = run_with(cfg, PlacementEngine::Indexed);
-                assert_eq!(
-                    fast.summary.to_string(),
-                    naive.summary.to_string(),
-                    "{} deflation={deflation} diverged (indexed vs naive)",
-                    policy.name()
-                );
-                assert_eq!(
-                    baseline.summary.to_string(),
-                    naive.summary.to_string(),
-                    "{} deflation={deflation} diverged (baseline vs naive)",
+                let r = run_cluster_sim(&cfg);
+                assert!(
+                    r.stats.launched > 0,
+                    "{} deflation={deflation} placed nothing",
                     policy.name()
                 );
             }

@@ -3,11 +3,11 @@
 //! `deflate_vm`, `reinflate_vm`, crash (evacuate + `set_up(false)`) and
 //! recover (`set_up(true)`) — the index must stay bit-consistent with
 //! live server state and answer every placement query with the *same
-//! server* as the naive full-scan oracle — and as the preserved
-//! pre-index baseline scan — under all three policies and both
-//! availability modes.
+//! server* as the naive full-scan oracle under all three policies and
+//! both availability modes, and every migration-destination query with
+//! the same server as the naive destination scan.
 
-use cluster::placement::{choose_server_baseline, choose_server_with};
+use cluster::placement::{best_headroom_with, choose_server_with};
 use cluster::{AvailabilityMode, PlacementIndex, PlacementPolicy};
 use deflate_core::{CascadeConfig, ResourceVector, ServerId, VmId};
 use hypervisor::{PhysicalServer, Vm, VmPriority};
@@ -37,10 +37,8 @@ fn assert_queries_agree(
             AvailabilityMode::PreemptionOnly,
         ] {
             let mut naive_rng = SimRng::seed_from_u64(seed);
-            let mut base_rng = SimRng::seed_from_u64(seed);
             let mut index_rng = SimRng::seed_from_u64(seed);
             let naive = choose_server_with(policy, servers, demand, mode, &mut naive_rng);
-            let baseline = choose_server_baseline(policy, servers, demand, mode, &mut base_rng);
             let indexed = index.choose(policy, servers, demand, mode, &mut index_rng);
             prop_assert_eq!(
                 indexed,
@@ -49,14 +47,26 @@ fn assert_queries_agree(
                 policy.name(),
                 demand
             );
-            prop_assert_eq!(
-                baseline,
-                naive,
-                "policy {} diverged (baseline vs naive) for demand {:?}",
-                policy.name(),
-                demand
-            );
         }
+    }
+}
+
+/// The migration-destination query must agree with its oracle, both
+/// over the whole fleet and with one server excluded.
+fn assert_destinations_agree(
+    index: &PlacementIndex,
+    servers: &[PhysicalServer],
+    demand: &ResourceVector,
+    exclude: usize,
+) {
+    for exclude in [None, Some(exclude)] {
+        prop_assert_eq!(
+            index.best_headroom(servers, demand, exclude),
+            best_headroom_with(servers, demand, exclude),
+            "best_headroom diverged for demand {:?} excluding {:?}",
+            demand,
+            exclude
+        );
     }
 }
 
@@ -150,8 +160,12 @@ proptest! {
                 rng.uniform_range(1.0, 200.0),
                 rng.uniform_range(1.0, 400.0),
             );
+            // Derived rather than drawn, so the mutation stream above
+            // stays the same for a given seed.
+            let exclude = ((seed ^ step) % n_servers as u64) as usize;
             for demand in [spec(0.1), spec(rng.uniform_range(0.2, 1.0)), spec(1.9), spec(10.0), skew] {
                 assert_queries_agree(&index, &servers, &demand, seed ^ step);
+                assert_destinations_agree(&index, &servers, &demand, exclude);
             }
         }
     }
