@@ -2148,6 +2148,104 @@ mod tests {
         }
     }
 
+    /// The five golden-summary configurations of
+    /// `tests/golden_summary.rs`, by name (`golden_cfgs_match_the_goldens`
+    /// keeps the two copies in step).
+    fn golden_cfgs() -> [(&'static str, ClusterSimConfig); 5] {
+        use deflate_core::ResourceVector;
+        use simkit::{FaultPlan, PartitionPlan};
+        let plain = ClusterSimConfig {
+            sharding: ShardingConfig::default(),
+            manager: ClusterManagerConfig {
+                n_servers: 20,
+                ..ClusterManagerConfig::default()
+            },
+            trace: TraceConfig {
+                arrivals_per_hour: 150.0,
+                lifetime_median_mins: 120.0,
+                ..TraceConfig::default()
+            },
+            horizon: SimDuration::from_hours(6),
+        };
+        let mut chaos = plain.clone();
+        chaos.manager.faults = FaultPlan::chaos(7).scaled(2.0);
+        let mut distress = plain.clone();
+        distress.manager.server_capacity = ResourceVector::new(16.0, 32_768.0, 400.0, 800.0);
+        distress.manager.distress = DistressConfig::guarded();
+        let mut migration = distress.clone();
+        migration.manager.migration = MigrationPolicy::enabled();
+        let mut control_plane = migration.clone();
+        control_plane.manager.migration.defrag_interval = SimDuration::from_mins(30);
+        control_plane.manager.faults = FaultPlan {
+            server_crash_rate_per_hour: 2.0,
+            server_restart: SimDuration::from_mins(30),
+            crash_warning: SimDuration::from_mins(5),
+            partitions: PartitionPlan {
+                prob: 0.3,
+                bucket: SimDuration::from_mins(30),
+                duration: SimDuration::from_mins(90),
+            },
+            manager: ManagerPlan {
+                prob: 0.3,
+                downtime: SimDuration::from_mins(30),
+                queue_cap: 64,
+                overflow: AdmissionOverflow::Defer,
+                ..ManagerPlan::none()
+            },
+            ..FaultPlan::chaos(7).scaled(2.0)
+        };
+        [
+            ("plain", plain),
+            ("chaos", chaos),
+            ("distress", distress),
+            ("migration", migration),
+            ("control_plane", control_plane),
+        ]
+    }
+
+    #[test]
+    fn golden_cfgs_match_the_goldens() {
+        for (name, cfg) in golden_cfgs() {
+            let path = format!("{}/tests/golden/{name}.json", env!("CARGO_MANIFEST_DIR"));
+            let golden = std::fs::read_to_string(&path).expect("read golden");
+            let got = run_cluster_sim(&cfg).summary.to_pretty();
+            assert_eq!(got.trim(), golden.trim(), "{name}");
+        }
+    }
+
+    /// Pins the rendered lifecycle trace, not just its counts: the
+    /// FNV-1a hash of `TraceLog::to_json()` text after each golden run,
+    /// with a capacity of 3000 records so four of the five runs drop
+    /// records past the cap. Any change to a trace message, span kind,
+    /// attribute, child span or to which records the cap keeps moves a
+    /// hash.
+    #[test]
+    fn golden_trace_exports_are_pinned() {
+        let expected = [
+            ("plain", 0x786c_da48_c0e0_9cd2),
+            ("chaos", 0x9ae1_2a73_58b1_8977),
+            ("distress", 0x419f_130a_ba13_6ab4),
+            ("migration", 0x5522_bb17_c081_01d5),
+            ("control_plane", 0x31fb_c915_6b0c_4b33),
+        ];
+        let mut dropped = 0;
+        let got: Vec<(&str, u64)> = golden_cfgs()
+            .into_iter()
+            .map(|(name, cfg)| {
+                let horizon = SimTime::ZERO + cfg.horizon;
+                let source = Source::Generator(Box::new(TraceGenerator::new(cfg.trace.clone())));
+                let mut cell = SimCell::new(cfg.manager, horizon, Some(source), false);
+                cell.manager.observability_mut().trace = simkit::TraceLog::with_capacity(3_000);
+                cell.run_window(horizon);
+                let log = cell.manager.log();
+                dropped += log.dropped();
+                (name, simkit::hash::fnv1a(&log.to_json().to_string()))
+            })
+            .collect();
+        assert_eq!(got, expected, "a rendered trace export moved");
+        assert!(dropped > 0, "the cap must drop records in some run");
+    }
+
     #[test]
     fn placement_policies_all_work() {
         for p in PlacementPolicy::ALL {

@@ -6,6 +6,9 @@
 //! its VM maps with this splitmix64-style hasher instead. It is
 //! deterministic across runs and platforms (no random seeding), so
 //! iteration-order-independent simulation results stay reproducible.
+//!
+//! [`fnv1a`] is the text counterpart: a stable 64-bit fingerprint of a
+//! rendered document, for tests that pin exported output by hash.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -46,6 +49,15 @@ impl Hasher for SeqHasher {
     }
 }
 
+/// FNV-1a (64-bit) over the UTF-8 bytes of `text`: stable across
+/// platforms and builds, so a test can pin a large rendered document by
+/// one number.
+pub fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,6 +80,13 @@ mod tests {
             "only {} distinct buckets",
             low_bits.len()
         );
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        assert_eq!(fnv1a(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a("foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]
