@@ -83,9 +83,8 @@ fn sim_cfg(
     ClusterSimConfig {
         manager: ClusterManagerConfig {
             n_servers,
-            // Per-event trace strings cost more than the placement work
-            // being measured; off for both columns so the comparison is
-            // placement-dominated rather than formatting-dominated.
+            // Off for both columns so the comparison times placement
+            // and the manager alone, as every earlier record did.
             lifecycle_trace: false,
             ..ClusterManagerConfig::default()
         },

@@ -38,6 +38,7 @@ pub mod placement;
 pub mod placement_index;
 pub mod predictor;
 pub mod pricing;
+pub mod record;
 pub mod simulate;
 pub mod traces;
 
@@ -51,6 +52,7 @@ pub use placement::{AvailabilityMode, PlacementPolicy};
 pub use placement_index::PlacementIndex;
 pub use predictor::{DemandPredictor, Ewma};
 pub use pricing::{revenue, Rates, Revenue, TransientPricing};
+pub use record::{ClusterRecord, MakeRoom};
 pub use simulate::{
     run_cluster_replay, run_cluster_sim, ClusterSimConfig, ClusterSimResult, ShardingConfig,
 };

@@ -7,14 +7,14 @@
 
 use std::collections::{HashMap, HashSet};
 
-use deflate_core::{CascadeConfig, DeflateError, ResourceKind, ResourceVector, ServerId, VmId};
+use deflate_core::{CascadeConfig, ResourceKind, ResourceVector, ServerId, VmId};
 use hypervisor::{
     GuestConfig, LatencyModel, LocalController, MigrationSession, PhysicalServer, PrecopyPlan,
     ReclaimReport, ReclaimSession, ServerAggregates, Vm, VmFaults, VmPriority,
 };
 use simkit::{
     FaultInjector, FaultPlan, JsonValue, Observability, SeqHash, SimDuration, SimRng, SimTime,
-    Span, TraceLog,
+    TraceLog,
 };
 
 use crate::distress::{DistressConfig, DistressEvent};
@@ -28,6 +28,7 @@ use crate::placement::{AvailabilityMode, PlacementPolicy};
 
 use crate::placement_index::PlacementIndex;
 use crate::predictor::DemandPredictor;
+use crate::record::{ClusterRecord, MakeRoom};
 use crate::traces::VmRequest;
 
 /// How long a cascade waits on a dead or unreachable agent when the
@@ -75,9 +76,10 @@ pub struct ClusterManagerConfig {
     /// hypervisor-only deflation. 0 disables the escalation.
     pub unresponsive_after: u32,
     /// Record the per-event lifecycle trace (launch/exit/deflate/
-    /// reinflate/preempt records and `make_room` spans). On by default;
-    /// timing harnesses turn it off because the per-event string
-    /// formatting costs more than the simulation work being measured.
+    /// reinflate/preempt records and `make_room` spans). On by default.
+    /// Records are typed values, formatted only when the trace is read,
+    /// so leaving it on costs an append per event plus the memory of
+    /// up to the log's capacity. Turning it off removes that cost.
     /// Metrics counters/gauges/histograms are recorded either way.
     pub lifecycle_trace: bool,
     /// Guest-distress loop: OOM/thrash consequences, emergency
@@ -344,8 +346,9 @@ pub struct ClusterManager {
     /// VMs declared unresponsive (hypervisor-only deflation from now on).
     unresponsive: HashSet<VmId, SeqHash>,
     /// Unified observability: metrics registry plus lifecycle trace
-    /// (launches, deflations, preemptions, reinflations, spans).
-    obs: Observability,
+    /// (launches, deflations, preemptions, reinflations, spans), kept
+    /// as typed records and rendered on read.
+    obs: Observability<ClusterRecord>,
     /// High-priority demand forecaster (proactive headroom).
     predictor: DemandPredictor,
     /// Incrementally-maintained cluster-wide sums.
@@ -429,7 +432,7 @@ impl ClusterManager {
             migrations: HashMap::default(),
             breaker_open_now: 0,
             unresponsive: HashSet::default(),
-            obs: Observability::new(),
+            obs: Observability::default(),
             predictor: DemandPredictor::new(simkit::SimDuration::from_mins(10), 0.3),
             totals: ClusterTotals {
                 capacity,
@@ -501,27 +504,19 @@ impl ClusterManager {
         after
     }
 
-    /// Appends one lifecycle-trace record. `detail` is only formatted
-    /// while the lifecycle trace is on.
-    fn lifecycle(&mut self, now: SimTime, kind: &'static str, detail: impl FnOnce() -> String) {
-        if self.cfg.lifecycle_trace {
-            self.obs.trace.record(now, kind, detail());
-        }
-    }
-
     /// The lifecycle trace recorded so far.
-    pub fn log(&self) -> &TraceLog {
+    pub fn log(&self) -> &TraceLog<ClusterRecord> {
         &self.obs.trace
     }
 
     /// The full observability bundle (metrics registry + trace).
-    pub fn observability(&self) -> &Observability {
+    pub fn observability(&self) -> &Observability<ClusterRecord> {
         &self.obs
     }
 
     /// Mutable observability access (CSV/JSON export needs `&mut` for
     /// lazy quantile sorting; harnesses may also record their own keys).
-    pub fn observability_mut(&mut self) -> &mut Observability {
+    pub fn observability_mut(&mut self) -> &mut Observability<ClusterRecord> {
         &mut self.obs
     }
 
@@ -869,16 +864,19 @@ impl ClusterManager {
                 {
                     self.stats.unresponsive_vms += 1;
                     self.obs.metrics.incr("cluster.unresponsive_vms");
-                    let err = DeflateError::AgentUnresponsive {
-                        vm: *id,
-                        missed_deadlines: m,
-                    };
-                    self.obs.trace.record(now, "unresponsive", err.to_string());
-                    self.obs.trace.record_span(
-                        Span::new("cluster.agent_unresponsive", now)
-                            .with_attr("vm", id.to_string())
-                            .with_attr("missed_deadlines", u64::from(m)),
-                    );
+                    let (vm, missed_deadlines) = (*id, m);
+                    self.obs.trace.record_with(|| ClusterRecord::Unresponsive {
+                        at: now,
+                        vm,
+                        missed_deadlines,
+                    });
+                    self.obs
+                        .trace
+                        .record_with(|| ClusterRecord::AgentUnresponsive {
+                            at: now,
+                            vm,
+                            missed_deadlines,
+                        });
                 }
             } else if self.cfg.cascade.use_app && out.app.engaged() {
                 self.missed.insert(*id, 0);
@@ -987,17 +985,20 @@ impl ClusterManager {
         self.obs.metrics.incr("cluster.server_crashes");
         self.obs.metrics.incr("fault.injected.server_crash");
         self.obs.metrics.add("cluster.preempted", low as u64);
-        self.obs.trace.record(
-            now,
-            "server_crash",
-            format!("{sid} lost {high} high-pri / {low} low-pri VMs"),
-        );
-        self.obs.trace.record_span(
-            Span::new("cluster.server_crash", now)
-                .with_attr("server", sid.0)
-                .with_attr("lost_high", high)
-                .with_attr("lost_low", low),
-        );
+        self.obs.trace.record_with(|| ClusterRecord::ServerCrash {
+            at: now,
+            server: sid,
+            lost_high: high,
+            lost_low: low,
+        });
+        self.obs
+            .trace
+            .record_with(|| ClusterRecord::ServerCrashSpan {
+                at: now,
+                server: sid,
+                lost_high: high,
+                lost_low: low,
+            });
         self.update_gauges(now);
         Some(failure)
     }
@@ -1054,9 +1055,10 @@ impl ClusterManager {
             return false;
         }
         self.restart(now, si, &mut Sink::Live);
-        self.obs
-            .trace
-            .record(now, "server_up", format!("{sid} rejoined placement"));
+        self.obs.trace.record_with(|| ClusterRecord::ServerUp {
+            at: now,
+            server: sid,
+        });
         self.update_gauges(now);
         true
     }
@@ -1101,10 +1103,16 @@ impl ClusterManager {
     }
 
     /// Charges one rejected request, traced with the reason `why`.
-    fn count_reject(&mut self, now: SimTime, id: VmId, why: &str) {
+    fn count_reject(&mut self, now: SimTime, id: VmId, why: &'static str) {
         self.stats.rejected += 1;
         self.obs.metrics.incr("cluster.rejected");
-        self.lifecycle(now, "reject", || format!("{id} ({why})"));
+        if self.cfg.lifecycle_trace {
+            self.obs.trace.record_with(|| ClusterRecord::Reject {
+                at: now,
+                vm: id,
+                why,
+            });
+        }
     }
 
     /// The breaker-open VMs on server `si`, shielded from further memory
@@ -1186,23 +1194,34 @@ impl ClusterManager {
             return LaunchOutcome::Rejected;
         }
 
-        let report = session.commit();
+        let mut report = session.commit();
         self.note_cascade_outcomes(now, &vm_faults, &report);
         self.stats.deflations += report.outcomes.len() as u64;
         self.obs
             .metrics
             .add("cluster.deflations", report.outcomes.len() as u64);
         for (id, out) in &report.outcomes {
-            self.lifecycle(now, "deflate", || {
-                format!("{id} by {} for {}", out.total_reclaimed, req.id)
-            });
+            if self.cfg.lifecycle_trace {
+                self.obs.trace.record_with(|| ClusterRecord::Deflate {
+                    at: now,
+                    vm: *id,
+                    by: out.total_reclaimed,
+                    for_vm: req.id,
+                });
+            }
             self.obs
                 .metrics
                 .observe("cascade.latency_s", out.latency.as_secs_f64());
         }
         for id in &report.preempted {
             self.drop_vm_tracking(now, *id);
-            self.lifecycle(now, "preempt", || format!("{id} for {}", req.id));
+            if self.cfg.lifecycle_trace {
+                self.obs.trace.record_with(|| ClusterRecord::Preempt {
+                    at: now,
+                    vm: *id,
+                    for_vm: req.id,
+                });
+            }
         }
         self.stats.preempted += report.preempted.len() as u64;
         self.obs
@@ -1212,9 +1231,13 @@ impl ClusterManager {
         {
             // Structured span: the full make_room payload, with one
             // cascade.deflate child (per-layer LayerReports) per VM.
-            self.obs
-                .trace
-                .record_span(report.to_span(now, ServerId(si as u64)));
+            self.obs.trace.record_with(|| {
+                ClusterRecord::MakeRoom(Box::new(MakeRoom::take(
+                    now,
+                    ServerId(si as u64),
+                    &mut report,
+                )))
+            });
         }
 
         let priority = if req.low_priority {
@@ -1258,9 +1281,14 @@ impl ClusterManager {
         self.servers[si].add_vm(vm);
         self.settle(si, &before);
         self.index.insert(req.id, si);
-        self.lifecycle(now, "launch", || {
-            format!("{} on {} ({})", req.id, ServerId(si as u64), req.type_name)
-        });
+        if self.cfg.lifecycle_trace {
+            self.obs.trace.record_with(|| ClusterRecord::Launch {
+                at: now,
+                vm: req.id,
+                server: ServerId(si as u64),
+                type_name: req.type_name,
+            });
+        }
         self.stats.launched += 1;
         self.obs.metrics.incr("cluster.launched");
         if req.low_priority {
@@ -1370,10 +1398,10 @@ impl ClusterManager {
         let applied = session.commit().reinflated;
         if let Some(mid) = mid {
             if why == Departure::Exit && self.cfg.lifecycle_trace {
-                for (rid, got) in &applied {
+                for &(vm, by) in &applied {
                     self.obs
                         .trace
-                        .record(now, "reinflate", format!("{rid} by {got}"));
+                        .record_with(|| ClusterRecord::Reinflate { at: now, vm, by });
                 }
             }
             self.stats.reinflations += applied.len() as u64;
@@ -1394,18 +1422,30 @@ impl ClusterManager {
         let (id, freed) = (vm.id(), vm.effective());
         match why {
             Departure::Exit => {
-                self.lifecycle(now, "exit", || format!("{id} freeing {freed}"));
+                if self.cfg.lifecycle_trace {
+                    self.obs.trace.record_with(|| ClusterRecord::Exit {
+                        at: now,
+                        vm: id,
+                        freed,
+                    });
+                }
                 self.obs.metrics.incr("cluster.exits");
             }
             Departure::OomKill => {
                 self.stats.oom_kills += 1;
                 self.obs.metrics.incr("cluster.oom_kills");
-                self.lifecycle(now, "oom_kill", || format!("{id} freeing {freed}"));
-                self.obs.trace.record_span(
-                    Span::new("cluster.guest_oom_kill", now)
-                        .with_attr("vm", id.to_string())
-                        .with_attr("server", si as u64),
-                );
+                if self.cfg.lifecycle_trace {
+                    self.obs.trace.record_with(|| ClusterRecord::OomKill {
+                        at: now,
+                        vm: id,
+                        freed,
+                    });
+                }
+                self.obs.trace.record_with(|| ClusterRecord::GuestOomKill {
+                    at: now,
+                    vm: id,
+                    server: ServerId(si as u64),
+                });
             }
         }
         let hp = vm.hotplug_stats();
@@ -1611,12 +1651,12 @@ impl ClusterManager {
             Sink::Live if st.open => {
                 self.obs.metrics.incr("cluster.breaker_trips");
                 self.shift_open_breakers(now, true);
-                self.obs.trace.record_span(
-                    Span::new("cluster.breaker_open", now)
-                        .with_attr("vm", id.to_string())
-                        .with_attr("trips", u64::from(st.trips))
-                        .with_attr("hold_samples", u64::from(st.hold)),
-                );
+                self.obs.trace.record_with(|| ClusterRecord::BreakerOpen {
+                    at: now,
+                    vm: id,
+                    trips: st.trips,
+                    hold_samples: st.hold,
+                });
             }
             Sink::Live => {
                 self.shift_open_breakers(now, false);
@@ -1706,16 +1746,25 @@ impl ClusterManager {
             Sink::Live => {
                 self.stats.emergency_reinflations += 1;
                 self.obs.metrics.incr("cluster.emergency_reinflations");
-                self.lifecycle(now, "emergency_reinflate", || {
-                    format!("{victim} granted {grant:.0} MiB of {needed:.0} needed")
-                });
-                self.obs.trace.record_span(
-                    Span::new("cluster.emergency_reinflate", now)
-                        .with_attr("vm", victim.to_string())
-                        .with_attr("server", si as u64)
-                        .with_attr("needed_mb", needed as u64)
-                        .with_attr("granted_mb", grant as u64),
-                );
+                if self.cfg.lifecycle_trace {
+                    self.obs
+                        .trace
+                        .record_with(|| ClusterRecord::EmergencyReinflate {
+                            at: now,
+                            vm: victim,
+                            granted_mb: grant,
+                            needed_mb: needed,
+                        });
+                }
+                self.obs
+                    .trace
+                    .record_with(|| ClusterRecord::EmergencyReinflateSpan {
+                        at: now,
+                        vm: victim,
+                        server: ServerId(si as u64),
+                        needed_mb: needed,
+                        granted_mb: grant,
+                    });
             }
         }
         if let Sink::Live = sink {
@@ -1796,14 +1845,15 @@ impl ClusterManager {
         );
         self.settle(di, &before_dst);
         self.obs.metrics.incr("cluster.migrations_started");
-        self.lifecycle(now, "migrate_start", || {
-            format!(
-                "{vm} from {} to {} ({} rounds planned)",
-                ServerId(si as u64),
-                ServerId(di as u64),
-                parked.plan.rounds
-            )
-        });
+        if self.cfg.lifecycle_trace {
+            self.obs.trace.record_with(|| ClusterRecord::MigrateStart {
+                at: now,
+                vm,
+                src: ServerId(si as u64),
+                dst: ServerId(di as u64),
+                rounds: parked.plan.rounds,
+            });
+        }
         Some(total)
     }
 
@@ -1857,21 +1907,23 @@ impl ClusterManager {
         m.incr("cluster.migrations");
         m.add("cluster.migration_mb", inflight.plan.copied_mb as u64);
         m.observe("migration.downtime_s", inflight.plan.downtime.as_secs_f64());
-        self.lifecycle(now, "migrate", || {
-            format!(
-                "{vm} from {} to {}",
-                ServerId(si as u64),
-                ServerId(di as u64)
-            )
+        let (src, dst) = (ServerId(si as u64), ServerId(di as u64));
+        if self.cfg.lifecycle_trace {
+            self.obs.trace.record_with(|| ClusterRecord::Migrate {
+                at: now,
+                vm,
+                src,
+                dst,
+            });
+        }
+        self.obs.trace.record_with(|| ClusterRecord::Migration {
+            at: now,
+            vm,
+            src,
+            dst,
+            rounds: inflight.plan.rounds,
+            copied_mb: inflight.plan.copied_mb,
         });
-        self.obs.trace.record_span(
-            Span::new("cluster.migration", now)
-                .with_attr("vm", vm.to_string())
-                .with_attr("src", si as u64)
-                .with_attr("dst", di as u64)
-                .with_attr("rounds", u64::from(inflight.plan.rounds))
-                .with_attr("copied_mb", inflight.plan.copied_mb as u64),
-        );
         self.update_gauges(now);
         Some(ServerId(di as u64))
     }
@@ -1910,9 +1962,13 @@ impl ClusterManager {
         }
         self.obs.metrics.incr("cluster.migrations_aborted");
         if let Sink::Live = sink {
-            self.lifecycle(now, "migrate_abort", || {
-                format!("{vm} (hold on {} released)", ServerId(di as u64))
-            });
+            if self.cfg.lifecycle_trace {
+                self.obs.trace.record_with(|| ClusterRecord::MigrateAbort {
+                    at: now,
+                    vm,
+                    dst: ServerId(di as u64),
+                });
+            }
         }
     }
 
@@ -1931,12 +1987,13 @@ impl ClusterManager {
         }
         let started = self.evacuate(now, si);
         self.obs.metrics.incr("cluster.drains");
-        self.obs.trace.record_span(
-            Span::new("cluster.drain", now)
-                .with_attr("server", sid.0)
-                .with_attr("hosted", self.servers[si].vm_count())
-                .with_attr("moves", started.len()),
-        );
+        let hosted = self.servers[si].vm_count();
+        self.obs.trace.record_with(|| ClusterRecord::Drain {
+            at: now,
+            server: sid,
+            hosted,
+            moves: started.len(),
+        });
         self.update_gauges(now);
         started
     }
@@ -1973,11 +2030,11 @@ impl ClusterManager {
         let started = self.evacuate(now, si);
         if !started.is_empty() {
             self.obs.metrics.incr("cluster.defrag_rounds");
-            self.obs.trace.record_span(
-                Span::new("cluster.defrag", now)
-                    .with_attr("server", si as u64)
-                    .with_attr("moves", started.len()),
-            );
+            self.obs.trace.record_with(|| ClusterRecord::Defrag {
+                at: now,
+                server: ServerId(si as u64),
+                moves: started.len(),
+            });
         }
         self.update_gauges(now);
         started
@@ -2063,12 +2120,17 @@ impl ClusterManager {
         }
         let hosted = self.isolate_server(now, si);
         self.obs.metrics.incr("cluster.partitions");
-        self.lifecycle(now, "partition", || format!("{sid} unreachable"));
-        self.obs.trace.record_span(
-            Span::new("cluster.partition", now)
-                .with_attr("server", sid.0)
-                .with_attr("hosted", hosted),
-        );
+        if self.cfg.lifecycle_trace {
+            self.obs.trace.record_with(|| ClusterRecord::Partition {
+                at: now,
+                server: sid,
+            });
+        }
+        self.obs.trace.record_with(|| ClusterRecord::PartitionSpan {
+            at: now,
+            server: sid,
+            hosted,
+        });
         self.update_gauges(now);
         true
     }
@@ -2160,18 +2222,24 @@ impl ClusterManager {
         m.incr("cluster.partition_heals");
         m.add("cluster.partition_divergence", out.divergence as u64);
         m.observe("partition.window_s", (now - since).as_secs_f64());
-        self.lifecycle(now, "partition_heal", || {
-            format!("{sid} reconciled: {} divergent events", out.divergence)
-        });
-        self.obs.trace.record_span(
-            Span::new("cluster.partition_heal", now)
-                .with_attr("server", si as u64)
-                .with_attr("divergence", out.divergence)
-                .with_attr("exited", out.exited.len())
-                .with_attr("oom_killed", out.oom_killed.len())
-                .with_attr("lost_high", out.lost_high.len())
-                .with_attr("lost_low", out.lost_low.len()),
-        );
+        if self.cfg.lifecycle_trace {
+            self.obs.trace.record_with(|| ClusterRecord::PartitionHeal {
+                at: now,
+                server: sid,
+                divergence: out.divergence,
+            });
+        }
+        self.obs
+            .trace
+            .record_with(|| ClusterRecord::PartitionHealSpan {
+                at: now,
+                server: sid,
+                divergence: out.divergence,
+                exited: out.exited.len(),
+                oom_killed: out.oom_killed.len(),
+                lost_high: out.lost_high.len(),
+                lost_low: out.lost_low.len(),
+            });
         self.update_gauges(now);
         Some(out)
     }
@@ -2319,12 +2387,14 @@ impl ClusterManager {
         self.mgr_down_since = now;
         self.stats.manager_crashes += 1;
         self.obs.metrics.incr("fault.manager_crashes");
-        self.lifecycle(now, "manager_crash", || {
-            format!("manager down, {isolated} servers autonomous")
-        });
+        if self.cfg.lifecycle_trace {
+            self.obs
+                .trace
+                .record_with(|| ClusterRecord::ManagerCrash { at: now, isolated });
+        }
         self.obs
             .trace
-            .record_span(Span::new("cluster.manager_crash", now).with_attr("isolated", isolated));
+            .record_with(|| ClusterRecord::ManagerCrashSpan { at: now, isolated });
         self.update_gauges(now);
         true
     }
@@ -2350,7 +2420,14 @@ impl ClusterManager {
         }
         self.restart(now, si, &mut Sink::Live);
         self.isolate_server(now, si);
-        self.lifecycle(now, "server_up", || format!("{sid} rebooted, manager down"));
+        if self.cfg.lifecycle_trace {
+            self.obs
+                .trace
+                .record_with(|| ClusterRecord::ServerUpIsolated {
+                    at: now,
+                    server: sid,
+                });
+        }
         self.update_gauges(now);
         true
     }
@@ -2438,14 +2515,22 @@ impl ClusterManager {
             "failover.downtime_s",
             (now - self.mgr_down_since).as_secs_f64(),
         );
-        self.lifecycle(now, "manager_recover", || {
-            format!("inventory scan over {scanned} servers, {divergence} divergent events")
-        });
-        self.obs.trace.record_span(
-            Span::new("cluster.manager_recover", now)
-                .with_attr("scanned", scanned)
-                .with_attr("divergence", divergence),
-        );
+        if self.cfg.lifecycle_trace {
+            self.obs
+                .trace
+                .record_with(|| ClusterRecord::ManagerRecover {
+                    at: now,
+                    scanned,
+                    divergence,
+                });
+        }
+        self.obs
+            .trace
+            .record_with(|| ClusterRecord::ManagerRecoverSpan {
+                at: now,
+                scanned,
+                divergence,
+            });
         self.update_gauges(now);
         outs
     }
@@ -2553,7 +2638,7 @@ impl ClusterManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::SimDuration;
+    use simkit::{SimDuration, Span};
 
     /// Reachable-server entries into the shared local-controller
     /// bodies, for tests that drive one step directly.
@@ -2736,9 +2821,9 @@ mod tests {
         // The 5th launch forced deflation, which records a structured
         // make_room span with cascade.deflate children.
         let obs = m.observability();
-        let rooms: Vec<_> = obs.trace.spans_by_kind("server.make_room").collect();
+        let rooms: Vec<Span> = obs.trace.spans_by_kind("server.make_room").collect();
         assert!(!rooms.is_empty(), "deflation should record a span");
-        let room = rooms[0];
+        let room = &rooms[0];
         assert!(room.children.iter().any(|c| c.kind == "cascade.deflate"));
 
         // Counters mirror ClusterStats.

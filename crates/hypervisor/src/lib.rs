@@ -51,6 +51,8 @@ pub use migration::{
     precopy_schedule, MigrationConfig, MigrationReport, MigrationSession, ParkedMigration,
     PrecopyPlan,
 };
-pub use server::{LocalController, PhysicalServer, ReclaimReport, ServerAggregates, VmFaults};
+pub use server::{
+    make_room_span, LocalController, PhysicalServer, ReclaimReport, ServerAggregates, VmFaults,
+};
 pub use session::{leaked_sessions, ReclaimSession, ReclaimStep, RollbackReport};
 pub use vm::{Vm, VmPriority, VmResourceView};

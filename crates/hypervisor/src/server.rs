@@ -504,23 +504,46 @@ impl ReclaimReport {
     /// `cascade.deflate` child (with its per-layer payload) per deflated
     /// VM, and one `server.preempt` child per preempted VM.
     pub fn to_span(&self, at: SimTime, server: ServerId) -> Span {
-        let mut span = Span::new("server.make_room", at)
-            .with_duration(self.latency)
-            .with_attr("server", server.0)
-            .with_attr("satisfied", self.satisfied)
-            .with_attr("deflated_vms", self.outcomes.len())
-            .with_attr("preempted_vms", self.preempted.len());
-        for k in deflate_core::ResourceKind::ALL {
-            span = span.with_attr(&format!("freed.{}", k.name()), self.freed.get(k));
-        }
-        for (id, out) in &self.outcomes {
-            span = span.with_child(out.to_span(at).with_attr("vm", id.to_string()));
-        }
-        for id in &self.preempted {
-            span = span.with_child(Span::new("server.preempt", at).with_attr("vm", id.to_string()));
-        }
-        span
+        make_room_span(
+            at,
+            server,
+            self.latency,
+            self.satisfied,
+            &self.freed,
+            &self.outcomes,
+            &self.preempted,
+        )
     }
+}
+
+/// The `server.make_room` span of one reclamation on `server`, built
+/// from the parts of a [`ReclaimReport`] it shows. A trace that stores
+/// those parts renders the same span on read.
+pub fn make_room_span(
+    at: SimTime,
+    server: ServerId,
+    latency: SimDuration,
+    satisfied: bool,
+    freed: &ResourceVector,
+    outcomes: &[(VmId, CascadeOutcome)],
+    preempted: &[VmId],
+) -> Span {
+    let mut span = Span::new("server.make_room", at)
+        .with_duration(latency)
+        .with_attr("server", server.0)
+        .with_attr("satisfied", satisfied)
+        .with_attr("deflated_vms", outcomes.len())
+        .with_attr("preempted_vms", preempted.len());
+    for k in deflate_core::ResourceKind::ALL {
+        span = span.with_attr(&format!("freed.{}", k.name()), freed.get(k));
+    }
+    for (id, out) in outcomes {
+        span = span.with_child(out.to_span(at).with_attr("vm", id.to_string()));
+    }
+    for id in preempted {
+        span = span.with_child(Span::new("server.preempt", at).with_attr("vm", id.to_string()));
+    }
+    span
 }
 
 /// Per-VM fault conditions the local controller must work around during

@@ -61,4 +61,4 @@ pub use observe::Observability;
 pub use par::parallel_map_workers;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-pub use trace::{AttrValue, Span, TraceEvent, TraceLog};
+pub use trace::{AttrValue, Rendered, Shape, Span, TraceEvent, TraceLog, TraceRecord};

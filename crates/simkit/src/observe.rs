@@ -16,26 +16,41 @@
 //! );
 //! ```
 
+use std::collections::BTreeMap;
+
 use crate::json::JsonValue;
 use crate::metrics::MetricsRegistry;
 use crate::time::SimTime;
-use crate::trace::TraceLog;
+use crate::trace::{Rendered, Shape, TraceLog, TraceRecord};
 
-/// Shared observability state for one run: named metrics and a trace.
-#[derive(Debug, Default)]
-pub struct Observability {
+/// Shared observability state for one run: named metrics and a trace of
+/// `R` records (eagerly [`Rendered`] ones unless a component brings its
+/// own record type).
+#[derive(Debug)]
+pub struct Observability<R = Rendered> {
     /// Counters, gauges, and histograms by hierarchical key.
     pub metrics: MetricsRegistry,
     /// Lifecycle events and structured spans.
-    pub trace: TraceLog,
+    pub trace: TraceLog<R>,
+}
+
+impl<R: TraceRecord> Default for Observability<R> {
+    fn default() -> Self {
+        Observability {
+            metrics: MetricsRegistry::default(),
+            trace: TraceLog::default(),
+        }
+    }
 }
 
 impl Observability {
-    /// Creates an empty bundle.
+    /// Creates an empty bundle with an eagerly rendered trace.
     pub fn new() -> Self {
         Observability::default()
     }
+}
 
+impl<R: TraceRecord> Observability<R> {
     /// Folds gauge history up to `now`; call once when the run ends.
     pub fn finalize(&mut self, now: SimTime) {
         self.metrics.finalize(now);
@@ -43,16 +58,19 @@ impl Observability {
 
     /// Builds the per-run summary: every metric plus trace record counts.
     ///
-    /// The summary is intentionally aggregate — individual events and
-    /// spans are available via [`TraceLog::to_json`] when a harness wants
-    /// the full firehose.
+    /// The summary is intentionally aggregate, and counting renders no
+    /// record. Individual events and spans are available via
+    /// [`TraceLog::to_json`] when a harness wants the full firehose.
     pub fn run_summary(&mut self, run: &str) -> JsonValue {
+        let mut kinds: BTreeMap<&str, usize> = BTreeMap::new();
+        for r in self.trace.records() {
+            if let Shape::Span(kind) = r.shape() {
+                *kinds.entry(kind).or_default() += 1;
+            }
+        }
         let mut span_kinds = JsonValue::object();
-        let mut kinds: Vec<&str> = self.trace.spans().iter().map(|s| s.kind.as_str()).collect();
-        kinds.sort_unstable();
-        kinds.dedup();
-        for kind in kinds {
-            span_kinds.set(kind, self.trace.span_count(kind));
+        for (kind, n) in kinds {
+            span_kinds.set(kind, n);
         }
         let trace = JsonValue::object()
             .with("records", self.trace.len())

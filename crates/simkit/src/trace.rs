@@ -5,7 +5,15 @@
 //! capacity cap so pathological runs cannot exhaust memory, and supports
 //! simple category filtering for tests and the experiment harness.
 //!
-//! Two record shapes coexist:
+//! Records are rendered on read. A log holds values of any
+//! [`TraceRecord`] type, typically a compact enum of ids and numbers,
+//! and turns a record into text or a span tree only when a reader asks
+//! ([`TraceLog::events`], [`TraceLog::spans`], [`TraceLog::to_json`]).
+//! Counting ([`TraceLog::count`], [`TraceLog::span_count`]) reads a
+//! record's [`Shape`] and never renders. A record past the cap is never
+//! built at all: [`TraceLog::record_with`] checks capacity first.
+//!
+//! Two rendered shapes coexist:
 //!
 //! * [`TraceEvent`] — a flat timestamped message in a category; cheap,
 //!   human-oriented, long-standing.
@@ -13,6 +21,10 @@
 //!   nested child spans, e.g. a cascade deflation with one child per
 //!   layer. Spans serialize to JSON ([`Span::to_json`]) and parse back
 //!   ([`Span::from_json`]), so harnesses can persist and re-analyze runs.
+//!
+//! The default record type, [`Rendered`], stores either shape as is, for
+//! callers that build their records eagerly ([`TraceLog::record`],
+//! [`TraceLog::record_span`]).
 
 use std::fmt;
 
@@ -247,131 +259,215 @@ impl Span {
     }
 }
 
-/// A bounded in-memory trace.
+/// What a record renders to, known without rendering it: an event in a
+/// category or a root span of a kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shape<'a> {
+    /// Renders to a [`TraceEvent`] in this category.
+    Event(&'a str),
+    /// Renders to a root [`Span`] of this kind.
+    Span(&'a str),
+}
+
+/// A rendered record: a flat event or a span tree.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Rendered {
+    /// A flat timestamped message.
+    Event(TraceEvent),
+    /// A structured span tree.
+    Span(Span),
+}
+
+/// A value a [`TraceLog`] can hold and render on read.
+///
+/// [`render`](Self::render) must produce the shape that
+/// [`shape`](Self::shape) announces, with the same category or kind.
+pub trait TraceRecord {
+    /// The category or span kind, read without rendering.
+    fn shape(&self) -> Shape<'_>;
+    /// Renders the record to its event or span.
+    fn render(&self) -> Rendered;
+}
+
+impl TraceRecord for Rendered {
+    fn shape(&self) -> Shape<'_> {
+        match self {
+            Rendered::Event(e) => Shape::Event(e.category),
+            Rendered::Span(s) => Shape::Span(&s.kind),
+        }
+    }
+
+    fn render(&self) -> Rendered {
+        self.clone()
+    }
+}
+
+/// A bounded in-memory trace of records rendered on read.
 #[derive(Debug)]
-pub struct TraceLog {
-    events: Vec<TraceEvent>,
-    spans: Vec<Span>,
+pub struct TraceLog<R = Rendered> {
+    records: Vec<R>,
     capacity: usize,
     dropped: u64,
 }
 
-impl Default for TraceLog {
+impl<R: TraceRecord> Default for TraceLog<R> {
     fn default() -> Self {
         TraceLog::with_capacity(100_000)
     }
 }
 
-impl TraceLog {
+impl<R: TraceRecord> TraceLog<R> {
     /// Creates a log that keeps at most `capacity` records (events and
     /// spans combined); later records are counted but dropped.
     pub fn with_capacity(capacity: usize) -> Self {
         TraceLog {
-            events: Vec::new(),
-            spans: Vec::new(),
+            records: Vec::new(),
             capacity,
             dropped: 0,
         }
     }
 
-    fn at_capacity(&self) -> bool {
-        self.events.len() + self.spans.len() >= self.capacity
-    }
-
-    /// Appends an event (or counts it as dropped when at capacity).
-    pub fn record(&mut self, at: SimTime, category: &'static str, message: impl Into<String>) {
-        if self.at_capacity() {
-            self.dropped += 1;
-            return;
-        }
-        self.events.push(TraceEvent {
-            at,
-            category,
-            message: message.into(),
-        });
-    }
-
-    /// Appends a structured span (or counts it as dropped when at
-    /// capacity). Children ride along with their root and do not count
+    /// Appends the record `build` returns, or counts it as dropped when
+    /// the log is full. `build` runs only for a record the log keeps.
+    /// A span's children ride along with their root and do not count
     /// toward the capacity individually.
-    pub fn record_span(&mut self, span: Span) {
-        if self.at_capacity() {
+    pub fn record_with(&mut self, build: impl FnOnce() -> R) {
+        if self.records.len() >= self.capacity {
             self.dropped += 1;
             return;
         }
-        self.spans.push(span);
+        self.records.push(build());
     }
 
-    /// All retained root spans in order.
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
+    /// The retained records, unrendered, in order.
+    pub fn records(&self) -> &[R] {
+        &self.records
     }
 
-    /// Root spans of a given kind.
-    pub fn spans_by_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a Span> {
-        self.spans.iter().filter(move |s| s.kind == kind)
+    /// Retained events whose category passes `keep`, rendered in order.
+    fn events_where<'a>(
+        &'a self,
+        keep: impl Fn(&str) -> bool + 'a,
+    ) -> impl Iterator<Item = TraceEvent> + 'a {
+        self.records
+            .iter()
+            .filter(move |r| matches!(r.shape(), Shape::Event(c) if keep(c)))
+            .map(|r| match r.render() {
+                Rendered::Event(e) => e,
+                Rendered::Span(s) => panic!("an event-shaped record rendered as span {}", s.kind),
+            })
     }
 
-    /// Number of root spans of a kind.
+    /// Retained root spans whose kind passes `keep`, rendered in order.
+    fn spans_where<'a>(
+        &'a self,
+        keep: impl Fn(&str) -> bool + 'a,
+    ) -> impl Iterator<Item = Span> + 'a {
+        self.records
+            .iter()
+            .filter(move |r| matches!(r.shape(), Shape::Span(k) if keep(k)))
+            .map(|r| match r.render() {
+                Rendered::Span(s) => s,
+                Rendered::Event(e) => panic!("a span-shaped record rendered as event {e}"),
+            })
+    }
+
+    /// All retained root spans, rendered in order.
+    pub fn spans(&self) -> impl Iterator<Item = Span> + '_ {
+        self.spans_where(|_| true)
+    }
+
+    /// Root spans of a given kind, rendered in order.
+    pub fn spans_by_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = Span> + 'a {
+        self.spans_where(move |k| k == kind)
+    }
+
+    /// Number of root spans of a kind (no rendering).
     pub fn span_count(&self, kind: &str) -> usize {
-        self.spans_by_kind(kind).count()
+        self.records
+            .iter()
+            .filter(|r| r.shape() == Shape::Span(kind))
+            .count()
     }
 
-    /// Serializes the whole log (events and spans) to a JSON object.
+    /// Serializes the whole log (events, then spans) to a JSON object.
     pub fn to_json(&self) -> JsonValue {
         let events: Vec<JsonValue> = self
-            .events
-            .iter()
+            .events()
             .map(|e| {
                 JsonValue::object()
                     .with("at_us", e.at.as_micros())
                     .with("category", e.category)
-                    .with("message", e.message.as_str())
+                    .with("message", e.message)
             })
             .collect();
         JsonValue::object()
             .with("events", JsonValue::Arr(events))
             .with(
                 "spans",
-                JsonValue::Arr(self.spans.iter().map(Span::to_json).collect()),
+                JsonValue::Arr(self.spans().map(|s| s.to_json()).collect()),
             )
             .with("dropped", self.dropped)
     }
 
-    /// All retained events in order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+    /// All retained events, rendered in order.
+    pub fn events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
+        self.events_where(|_| true)
     }
 
-    /// Events in a given category.
-    pub fn by_category<'a>(&'a self, category: &'a str) -> impl Iterator<Item = &'a TraceEvent> {
-        self.events.iter().filter(move |e| e.category == category)
+    /// Events in a given category, rendered in order.
+    pub fn by_category<'a>(&'a self, category: &'a str) -> impl Iterator<Item = TraceEvent> + 'a {
+        self.events_where(move |c| c == category)
     }
 
-    /// Number of events in a category.
+    /// Number of events in a category (no rendering).
     pub fn count(&self, category: &str) -> usize {
-        self.by_category(category).count()
+        self.records
+            .iter()
+            .filter(|r| r.shape() == Shape::Event(category))
+            .count()
     }
 
-    /// Number of events dropped due to the capacity cap.
+    /// Number of records dropped due to the capacity cap.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
 
     /// Number of retained records (events plus root spans).
     pub fn len(&self) -> usize {
-        self.events.len() + self.spans.len()
+        self.records.len()
     }
 
     /// Returns `true` when nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.spans.is_empty()
+        self.records.is_empty()
+    }
+}
+
+impl TraceLog {
+    /// Appends an event (or counts it as dropped when at capacity; the
+    /// message is converted only when kept).
+    pub fn record(&mut self, at: SimTime, category: &'static str, message: impl Into<String>) {
+        self.record_with(|| {
+            Rendered::Event(TraceEvent {
+                at,
+                category,
+                message: message.into(),
+            })
+        });
+    }
+
+    /// Appends a structured span (or counts it as dropped when at
+    /// capacity).
+    pub fn record_span(&mut self, span: Span) {
+        self.record_with(|| Rendered::Span(span));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::Observability;
 
     #[test]
     fn records_and_filters() {
@@ -394,6 +490,106 @@ mod tests {
         }
         assert_eq!(log.len(), 2);
         assert_eq!(log.dropped(), 3);
+    }
+
+    /// Construction and render counts shared by [`Counted`] records.
+    #[derive(Default)]
+    struct Tally {
+        built: std::cell::Cell<usize>,
+        rendered: std::cell::Cell<usize>,
+    }
+
+    /// A typed record that counts how often it is built and rendered.
+    /// Every third one is a span.
+    struct Counted<'a> {
+        n: u64,
+        tally: &'a Tally,
+    }
+
+    impl<'a> Counted<'a> {
+        fn new(n: u64, tally: &'a Tally) -> Self {
+            tally.built.set(tally.built.get() + 1);
+            Counted { n, tally }
+        }
+    }
+
+    /// What a [`Counted`] record `n` renders to, built eagerly.
+    fn eager(n: u64) -> Rendered {
+        let at = SimTime::from_secs(n);
+        if n % 3 == 0 {
+            Rendered::Span(Span::new("tick", at).with_attr("n", n))
+        } else {
+            Rendered::Event(TraceEvent {
+                at,
+                category: if n % 3 == 1 { "odd" } else { "even" },
+                message: format!("record {n}"),
+            })
+        }
+    }
+
+    impl TraceRecord for Counted<'_> {
+        fn shape(&self) -> Shape<'_> {
+            match self.n % 3 {
+                0 => Shape::Span("tick"),
+                1 => Shape::Event("odd"),
+                _ => Shape::Event("even"),
+            }
+        }
+
+        fn render(&self) -> Rendered {
+            self.tally.rendered.set(self.tally.rendered.get() + 1);
+            eager(self.n)
+        }
+    }
+
+    #[test]
+    fn records_past_the_cap_are_never_built_or_rendered() {
+        const CAP: usize = 7;
+        const CALLS: u64 = 20;
+        let tally = Tally::default();
+        let mut typed = TraceLog::with_capacity(CAP);
+        let mut eager_log = TraceLog::with_capacity(CAP);
+        for n in 0..CALLS {
+            typed.record_with(|| Counted::new(n, &tally));
+            eager_log.record_with(|| eager(n));
+        }
+        // Only kept records were built; counting renders nothing.
+        assert_eq!(tally.built.get(), CAP);
+        assert_eq!(typed.len(), CAP);
+        assert_eq!(typed.dropped(), CALLS - CAP as u64);
+        assert_eq!(typed.len() as u64 + typed.dropped(), CALLS);
+        assert!(typed.records().iter().all(|r| r.n < CAP as u64));
+        for kind in ["tick", "missing"] {
+            assert_eq!(typed.span_count(kind), eager_log.span_count(kind));
+        }
+        for category in ["odd", "even", "missing"] {
+            assert_eq!(typed.count(category), eager_log.count(category));
+        }
+        assert_eq!(tally.rendered.get(), 0);
+
+        // The run summary's trace section matches the eager log's and is
+        // also built without rendering.
+        let mut typed_obs = Observability {
+            metrics: Default::default(),
+            trace: typed,
+        };
+        let mut eager_obs = Observability::new();
+        eager_obs.trace = eager_log;
+        let typed_summary = typed_obs.run_summary("cap");
+        assert_eq!(
+            typed_summary.get("trace"),
+            eager_obs.run_summary("cap").get("trace")
+        );
+        assert_eq!(tally.rendered.get(), 0);
+
+        // Export renders each kept record exactly once and matches the
+        // eager log byte for byte.
+        assert_eq!(
+            typed_obs.trace.to_json().to_string(),
+            eager_obs.trace.to_json().to_string()
+        );
+        assert_eq!(tally.rendered.get(), CAP);
+        assert_eq!(tally.built.get(), CAP);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! span JSON are all machine-readable and mutually consistent.
 
 use cluster::{
-    run_cluster_sim, ClusterManager, ClusterManagerConfig, ClusterSimConfig, TraceConfig, VmRequest,
+    run_cluster_sim, ClusterManager, ClusterManagerConfig, ClusterRecord, ClusterSimConfig,
+    TraceConfig, VmRequest,
 };
 use deflate_core::{CascadeConfig, ResourceVector, VmId};
 use simkit::{JsonValue, SimDuration, SimTime, Span};
@@ -92,7 +93,44 @@ fn span_json_survives_round_trip() {
     let text = room.to_json().to_pretty();
     let parsed = JsonValue::parse(&text).expect("span JSON parses");
     let back = Span::from_json(&parsed).expect("span reconstructs");
-    assert_eq!(&back, room);
+    assert_eq!(back, room);
+}
+
+#[test]
+fn make_room_record_renders_its_report() {
+    let m = overloaded_manager();
+    let trace = &m.observability().trace;
+    let room = trace
+        .records()
+        .iter()
+        .find_map(|r| match r {
+            ClusterRecord::MakeRoom(room) => Some(room),
+            _ => None,
+        })
+        .expect("deflation records a make_room");
+    let span = trace
+        .spans_by_kind("server.make_room")
+        .next()
+        .expect("span exists");
+    // The stored outcomes are the span's children, rendered on read, and
+    // reading twice renders the same tree.
+    assert_eq!(span, room.to_span());
+    assert_eq!(
+        span.attr("deflated_vms").and_then(|a| a.as_f64()),
+        Some(room.outcomes.len() as f64)
+    );
+    let children: Vec<_> = span
+        .children
+        .iter()
+        .filter(|c| c.kind == "cascade.deflate")
+        .collect();
+    assert_eq!(children.len(), room.outcomes.len());
+    for (child, (vm, out)) in children.iter().zip(room.outcomes.iter()) {
+        assert_eq!(
+            **child,
+            out.to_span(room.at).with_attr("vm", vm.to_string())
+        );
+    }
 }
 
 #[test]
