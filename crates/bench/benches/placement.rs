@@ -1,9 +1,9 @@
 //! Micro-benchmarks of deflation-aware placement: the naive full scan
-//! vs the bucketed-skyline [`PlacementIndex`], over lightly-loaded
-//! (200 servers) and heavily-loaded (1000 servers, ~90 % committed)
-//! pools. The loaded pool is where the index's dominant-dimension
-//! pruning pays: most servers cannot fit the demand and are never
-//! touched.
+//! vs the class-table [`PlacementIndex`], over lightly-loaded (200
+//! servers) and heavily-loaded (1000 servers, ~90 % committed) pools.
+//! Servers here load in a six-step cycle, so the pools hold only a few
+//! classes of identical servers: the index scores one row per class
+//! where the scan scores every server.
 
 use cluster::placement::{choose_server_with, PlacementPolicy};
 use cluster::{AvailabilityMode, PlacementIndex};

@@ -22,9 +22,7 @@ use crate::migration::MigrationPolicy;
 use crate::partition::{
     DivergenceEvent, DivergenceLog, PartitionSession, Reachability, ReconcileOutcome,
 };
-#[cfg(debug_assertions)]
-use crate::placement::{best_headroom_with, choose_server_with};
-use crate::placement::{AvailabilityMode, PlacementPolicy};
+use crate::placement::{best_headroom_with, choose_server_with, AvailabilityMode, PlacementPolicy};
 
 use crate::placement_index::PlacementIndex;
 use crate::predictor::DemandPredictor;
@@ -34,6 +32,10 @@ use crate::traces::VmRequest;
 /// How long a cascade waits on a dead or unreachable agent when the
 /// cascade config carries no explicit deadline.
 const DEFAULT_AGENT_WAIT: SimDuration = SimDuration::from_secs(30);
+
+/// Release builds audit one placement or destination query in this many
+/// against its scan oracle; debug builds audit every query.
+const AUDIT_EVERY: u64 = 256;
 
 /// Cluster manager configuration.
 #[derive(Debug, Clone)]
@@ -383,6 +385,9 @@ pub struct ClusterManager {
     /// Reusable `(vm, server)` buffer for the distress sampling round's
     /// deterministic ordering pass (O(running VMs) per round).
     scratch_sample: Vec<(u64, usize)>,
+    /// Placement and destination queries answered so far; it picks
+    /// which ones are audited (see [`AUDIT_EVERY`]).
+    queries: u64,
 }
 
 impl ClusterManager {
@@ -446,15 +451,34 @@ impl ClusterManager {
             mgr_down_since: SimTime::ZERO,
             scratch_ids: Vec::new(),
             scratch_sample: Vec::new(),
+            queries: 0,
         }
     }
 
-    /// One placement query, answered by the placement index. Debug
-    /// builds cross-check every answer against the naive oracle (on a
-    /// cloned RNG, so both consume the identical stream).
+    /// Counts one placement or destination query and says whether to
+    /// audit it against its scan oracle: every query in debug builds,
+    /// every [`AUDIT_EVERY`]th in release builds.
+    fn audited(&mut self) -> bool {
+        self.queries += 1;
+        cfg!(debug_assertions) || self.queries % AUDIT_EVERY == 0
+    }
+
+    /// Settles one audit. A divergence panics in debug builds and adds
+    /// to `cluster.audit_violations` in release builds; the key is only
+    /// registered when one happens, so clean runs' summaries are
+    /// unchanged.
+    fn audit(&mut self, got: Option<usize>, oracle: Option<usize>, what: &str) {
+        debug_assert_eq!(got, oracle, "placement index diverged from the {what}");
+        if got != oracle {
+            self.obs.metrics.incr("cluster.audit_violations");
+        }
+    }
+
+    /// One placement query, answered by the placement index. Audited
+    /// queries (see [`audited`](Self::audited)) also run the naive
+    /// oracle, on a cloned RNG so both consume the identical stream.
     fn place(&mut self, demand: &ResourceVector, mode: AvailabilityMode) -> Option<usize> {
-        #[cfg(debug_assertions)]
-        let mut oracle_rng = self.rng.clone();
+        let oracle_rng = self.audited().then(|| self.rng.clone());
         let choice = self.pindex.choose(
             self.cfg.placement,
             &self.servers,
@@ -462,18 +486,11 @@ impl ClusterManager {
             mode,
             &mut self.rng,
         );
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            choice,
-            choose_server_with(
-                self.cfg.placement,
-                &self.servers,
-                demand,
-                mode,
-                &mut oracle_rng
-            ),
-            "placement index diverged from the naive scan"
-        );
+        if let Some(mut rng) = oracle_rng {
+            let oracle =
+                choose_server_with(self.cfg.placement, &self.servers, demand, mode, &mut rng);
+            self.audit(choice, oracle, "naive scan");
+        }
         choice
     }
 
@@ -1775,18 +1792,16 @@ impl ClusterManager {
     /// The best migration destination for `demand`: the up server with
     /// the most deflation-aware headroom that can cover it, excluding
     /// the source. Deterministic and RNG-free: the index answers from
-    /// cached availability vectors in one pass, and debug builds
-    /// cross-check it against the naive scan.
-    fn find_destination(&self, demand: &ResourceVector, exclude: usize) -> Option<usize> {
+    /// cached availability vectors in one pass over its classes, and
+    /// audited queries are checked against the naive scan.
+    fn find_destination(&mut self, demand: &ResourceVector, exclude: usize) -> Option<usize> {
         let dest = self
             .pindex
             .best_headroom(&self.servers, demand, Some(exclude));
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            dest,
-            best_headroom_with(&self.servers, demand, Some(exclude)),
-            "placement index diverged from the naive destination scan"
-        );
+        if self.audited() {
+            let oracle = best_headroom_with(&self.servers, demand, Some(exclude));
+            self.audit(dest, oracle, "naive destination scan");
+        }
         dest
     }
 
@@ -2677,6 +2692,33 @@ mod tests {
             } else {
                 ResourceVector::ZERO
             },
+        }
+    }
+
+    #[test]
+    fn audits_sample_queries_and_count_only_divergences() {
+        let mut m = ClusterManager::new(small_cfg(true));
+        let audited = (0..2 * AUDIT_EVERY).filter(|_| m.audited()).count() as u64;
+        let expect = if cfg!(debug_assertions) {
+            2 * AUDIT_EVERY
+        } else {
+            2
+        };
+        assert_eq!(audited, expect);
+        m.audit(Some(1), Some(1), "naive scan");
+        m.audit(None, None, "naive destination scan");
+        assert!(!m
+            .observability()
+            .metrics
+            .keys()
+            .contains(&"cluster.audit_violations".to_string()));
+        // A divergence panics in debug builds and is counted in release.
+        if !cfg!(debug_assertions) {
+            m.audit(Some(0), Some(1), "naive scan");
+            assert_eq!(
+                m.observability().metrics.count("cluster.audit_violations"),
+                1
+            );
         }
     }
 

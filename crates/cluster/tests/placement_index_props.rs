@@ -5,11 +5,13 @@
 //! live server state and answer every placement query with the *same
 //! server* as the naive full-scan oracle under all three policies and
 //! both availability modes, and every migration-destination query with
-//! the same server as the naive destination scan.
+//! the same server as the naive destination scan. Near-tie fleets push
+//! the class table into BestFit's intransitive corners, and one release
+//! test runs the manager's sampled audit over a 3000-server fleet.
 
 use cluster::placement::{best_headroom_with, choose_server_with};
 use cluster::{AvailabilityMode, PlacementIndex, PlacementPolicy};
-use deflate_core::{CascadeConfig, ResourceVector, ServerId, VmId};
+use deflate_core::{CascadeConfig, ResourceKind, ResourceVector, ServerId, VmId};
 use hypervisor::{PhysicalServer, Vm, VmPriority};
 use proptest::prelude::*;
 use simkit::{SimRng, SimTime};
@@ -20,6 +22,27 @@ fn capacity() -> ResourceVector {
 
 fn spec(scale: f64) -> ResourceVector {
     ResourceVector::new(4.0, 16_384.0, 100.0, 200.0).scale(scale)
+}
+
+/// A server capacity for near-tie fleets: one of a few shared shapes,
+/// sometimes nudged along CPU by a few ulps or by steps of 2e-5. Memory
+/// dominates these norms (about 3e4), so one step moves a cosine by a
+/// fraction of BestFit's 1e-9 fuzz and a norm by a few times it: fleets
+/// share classes, cosines chain through the fuzz, and the fuzzy
+/// comparison turns intransitive.
+fn near_tie_capacity(rng: &mut SimRng) -> ResourceVector {
+    let base = [
+        capacity(),
+        capacity().scale(0.5),
+        ResourceVector::new(4.0, 16_384.0, 200.0, 100.0),
+    ][rng.index(3)];
+    let cpu = base.get(ResourceKind::Cpu);
+    let nudged = match rng.index(4) {
+        0 => cpu,
+        1 => f64::from_bits(cpu.to_bits() + 1 + rng.index(4) as u64),
+        _ => cpu + rng.index(5) as f64 * 2e-5,
+    };
+    base.with(ResourceKind::Cpu, nudged)
 }
 
 /// Every policy × availability-mode query must agree with the oracle.
@@ -169,4 +192,101 @@ proptest! {
             }
         }
     }
+
+    /// Fleets of a few shared, nudged shapes with VMs, crashes and
+    /// partitions on top: the class table must match both oracles where
+    /// many servers share a class and BestFit's fuzzy comparison is
+    /// intransitive.
+    #[test]
+    fn near_tie_fleets_match_the_oracles(
+        seed in any::<u64>(),
+        n_servers in 1usize..40,
+    ) {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut servers: Vec<PhysicalServer> = (0..n_servers)
+            .map(|i| PhysicalServer::new(ServerId(i as u64), near_tie_capacity(&mut rng)))
+            .collect();
+        let mut index = PlacementIndex::new(&servers);
+        for step in 0..40u64 {
+            let si = rng.index(n_servers);
+            match rng.index(4) {
+                // One VM size, so loaded servers share classes too.
+                0 | 1 => {
+                    let pri = if rng.chance(0.5) { VmPriority::Low } else { VmPriority::High };
+                    servers[si].add_vm(Vm::new(VmId(step), spec(0.25), pri));
+                }
+                // Crash (evacuate then down) or recover.
+                2 => {
+                    if servers[si].is_up() {
+                        let ids: Vec<VmId> = servers[si].vms().map(|vm| vm.id()).collect();
+                        for id in ids {
+                            servers[si].remove_vm(id);
+                        }
+                        servers[si].set_up(false);
+                    } else {
+                        servers[si].set_up(true);
+                    }
+                }
+                // Partition or heal: the server keeps its VMs.
+                _ => {
+                    let connected = servers[si].is_connected();
+                    servers[si].set_connected(!connected);
+                }
+            }
+            index.refresh(si, &servers[si]);
+            index.assert_consistent(&servers);
+            let exclude = ((seed ^ step) % n_servers as u64) as usize;
+            for demand in [
+                ResourceVector::cpu(0.1),
+                capacity().scale(0.1),
+                ResourceVector::new(4.0, 16_384.0, 200.0, 100.0).scale(0.2),
+                spec(0.3),
+                spec(0.6),
+            ] {
+                assert_queries_agree(&index, &servers, &demand, seed ^ step);
+                assert_destinations_agree(&index, &servers, &demand, exclude);
+            }
+        }
+    }
+}
+
+/// The manager's sampled release audit re-runs every 256th placement and
+/// destination query against its scan oracle and counts divergences in
+/// `cluster.audit_violations`. Over ten hours of a 3000-server BestFit
+/// fleet at the Fig. 8c density (the ramp plus two saturated hours) it
+/// must find none. Debug builds audit every query instead, which makes a
+/// fleet this size too slow for them.
+#[cfg(not(debug_assertions))]
+#[test]
+fn release_audit_finds_no_divergence_on_a_3000_server_fleet() {
+    use cluster::{ClusterManagerConfig, ClusterSimConfig, ShardingConfig, TraceConfig};
+    use simkit::SimDuration;
+
+    let n = 3_000;
+    let cfg = ClusterSimConfig {
+        manager: ClusterManagerConfig {
+            n_servers: n,
+            ..ClusterManagerConfig::default()
+        },
+        trace: TraceConfig {
+            arrivals_per_hour: 2.8 * n as f64,
+            seed: 1,
+            ..TraceConfig::default()
+        },
+        horizon: SimDuration::from_hours(10),
+        sharding: ShardingConfig::default(),
+    };
+    assert_eq!(cfg.manager.placement, PlacementPolicy::BestFit);
+    let r = cluster::run_cluster_sim(&cfg);
+    assert!(
+        r.stats.launched > 100 * 256,
+        "too few queries to audit: {} launches",
+        r.stats.launched
+    );
+    let counters = r.summary.get("counters").expect("summary has counters");
+    assert_eq!(
+        counters.get("cluster.audit_violations"),
+        None,
+        "the class table diverged from its oracles"
+    );
 }
