@@ -45,20 +45,32 @@ where
     let f = &f;
 
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= slots.len() {
-                    break;
-                }
-                let item = slots[i]
-                    .lock()
-                    .expect("pool slot poisoned")
-                    .take()
-                    .expect("each slot is claimed exactly once");
-                let out = f(item);
-                *results[i].lock().expect("pool result poisoned") = Some(out);
-            });
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= slots.len() {
+                        break;
+                    }
+                    let item = slots[i]
+                        .lock()
+                        .expect("pool slot poisoned")
+                        .take()
+                        .expect("each slot is claimed exactly once");
+                    let out = f(item);
+                    *results[i].lock().expect("pool result poisoned") = Some(out);
+                })
+            })
+            .collect();
+        // Join every worker before returning. The scope alone waits only
+        // for the closures and detaches the threads, so the next call's
+        // workers can start before these have exited and handed their
+        // malloc arenas back; each such overlap opens a fresh arena that
+        // keeps its memory. A worker's panic resumes here, payload intact.
+        for h in handles {
+            if let Err(panic) = h.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
 
@@ -89,6 +101,21 @@ mod tests {
         let empty: Vec<usize> = parallel_map_workers(4, Vec::<usize>::new(), |i| i);
         assert!(empty.is_empty());
         assert_eq!(parallel_map_workers(4, vec![7usize], |i| i + 1), vec![8]);
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller() {
+        let caught = std::panic::catch_unwind(|| {
+            parallel_map_workers(2, (0..8).collect(), |i: usize| {
+                assert_ne!(i, 5, "item five");
+                i
+            })
+        });
+        let payload = caught.expect_err("the panic propagates");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert!(msg.contains("item five"), "{msg}");
     }
 
     #[test]
