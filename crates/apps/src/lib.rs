@@ -22,6 +22,8 @@
 //! [`ApplicationAgent`]: deflate_core::ApplicationAgent
 //! [`VmResourceView`]: hypervisor::VmResourceView
 
+#![forbid(unsafe_code)]
+
 pub mod jvm;
 pub mod kcompile;
 pub mod memcached;

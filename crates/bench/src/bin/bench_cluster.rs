@@ -52,6 +52,8 @@
 //! cells run on all cores. Schema v3 records (up to the removal of the
 //! pre-index scan) also carried a `naive` column timing that scan.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use cluster::{

@@ -17,7 +17,7 @@ use simkit::{SimDuration, SimTime};
 use spark::workloads::{all_workloads, fig6_event, standard_pool};
 use spark::{BspSimulator, DeflationMode, REstimateKind};
 
-use crate::{f1, f3, pct, Table};
+use crate::{f1, f3, pct, RunCounters, Table};
 
 /// Compares the three `r` estimators' decision quality: for each DAG
 /// workload and deflation condition, the cascade's running time under
@@ -254,12 +254,16 @@ pub fn speculation() -> Table {
 /// absorbs placement mistakes; this ablation checks whether that still
 /// holds when server capacities differ 3:1 and cosine fitness has real
 /// direction to exploit.
-pub fn heterogeneous_placement() -> Table {
-    heterogeneous_placement_with(30, simkit::SimDuration::from_hours(12))
+pub fn heterogeneous_placement(counters: &mut RunCounters) -> Table {
+    heterogeneous_placement_with(30, simkit::SimDuration::from_hours(12), counters)
 }
 
 /// [`heterogeneous_placement`] with explicit scale (shrunk in tests).
-pub fn heterogeneous_placement_with(n_servers: usize, horizon: simkit::SimDuration) -> Table {
+pub fn heterogeneous_placement_with(
+    n_servers: usize,
+    horizon: simkit::SimDuration,
+    counters: &mut RunCounters,
+) -> Table {
     use cluster::{run_cluster_sim, ClusterManagerConfig, ClusterSimConfig, TraceConfig};
 
     let mut t = Table::new(
@@ -296,11 +300,10 @@ pub fn heterogeneous_placement_with(n_servers: usize, horizon: simkit::SimDurati
             },
             horizon,
         };
-        let r = run_cluster_sim(&cfg);
-        crate::record_sim_summary(&r.summary);
-        r
+        run_cluster_sim(&cfg)
     });
     for ((skew, policy), r) in grid.into_iter().zip(&results) {
+        counters.record(&r.summary);
         t.row(vec![
             if skew == 0.0 {
                 "homogeneous"
@@ -322,14 +325,14 @@ pub fn heterogeneous_placement_with(n_servers: usize, horizon: simkit::SimDurati
 }
 
 /// All ablations.
-pub fn run() -> Vec<Table> {
+pub fn run(counters: &mut RunCounters) -> Vec<Table> {
     vec![
         r_estimators(),
         deadline_sweep(),
         memory_mechanisms(),
         burstable_comparison(),
         speculation(),
-        heterogeneous_placement(),
+        heterogeneous_placement(counters),
     ]
 }
 
@@ -379,7 +382,11 @@ mod tests {
 
     #[test]
     fn heterogeneous_pool_keeps_policies_in_band() {
-        let t = heterogeneous_placement_with(10, simkit::SimDuration::from_hours(5));
+        let t = heterogeneous_placement_with(
+            10,
+            simkit::SimDuration::from_hours(5),
+            &mut RunCounters::default(),
+        );
         assert_eq!(t.rows.len(), 6);
         // Within each pool kind, admission varies by less than 20%
         // across policies.

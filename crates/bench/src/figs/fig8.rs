@@ -17,7 +17,7 @@ use hypervisor::{LocalController, PhysicalServer, Vm, VmPriority};
 use simkit::{stats, SimDuration, SimTime};
 use spark::{TrainingJob, TrainingParams};
 
-use crate::{f1, f3, pct, Table};
+use crate::{f1, f3, pct, RunCounters, Table};
 
 /// Fig. 8a: normalized throughput of a deflatable Spark (CNN) cluster and
 /// a high-priority memcached cluster sharing one server pool.
@@ -158,7 +158,7 @@ impl Default for Fig8cConfig {
 
 /// Fig. 8c: preemption probability vs measured cluster overcommitment,
 /// with 50 % of VMs low-priority.
-pub fn fig8c_with(cfg: &Fig8cConfig) -> Table {
+pub fn fig8c_with(cfg: &Fig8cConfig, counters: &mut RunCounters) -> Table {
     let mut t = Table::new(
         "fig8c",
         "Preemption probability vs cluster overcommitment (50% low-priority VMs)",
@@ -193,7 +193,7 @@ pub fn fig8c_with(cfg: &Fig8cConfig) -> Table {
         .collect();
     let results = crate::sweep::parallel_map(jobs, |c| run_cluster_sim(&c));
     for r in &results {
-        crate::record_sim_summary(&r.summary);
+        counters.record(&r.summary);
     }
     for pair in results.chunks_exact(2) {
         t.row(vec![
@@ -213,18 +213,14 @@ pub fn fig8c_with(cfg: &Fig8cConfig) -> Table {
     t
 }
 
-/// Fig. 8c at paper scale.
-pub fn fig8c() -> Table {
-    fig8c_with(&Fig8cConfig::default())
-}
-
-/// Fig. 8d: per-server overcommitment distribution per placement policy.
-pub fn fig8d() -> Table {
-    fig8d_with(100, SimDuration::from_hours(24), 320.0)
-}
-
-/// Fig. 8d with explicit scale (shrunk in tests).
-pub fn fig8d_with(n_servers: usize, horizon: SimDuration, rate: f64) -> Table {
+/// Fig. 8d: per-server overcommitment distribution per placement policy
+/// (paper scale: 100 servers, 24 h, 320 arrivals/h).
+pub fn fig8d_with(
+    n_servers: usize,
+    horizon: SimDuration,
+    rate: f64,
+    counters: &mut RunCounters,
+) -> Table {
     let mut t = Table::new(
         "fig8d",
         "Server overcommitment by placement policy (mean / p25 / p50 / p75)",
@@ -248,7 +244,7 @@ pub fn fig8d_with(n_servers: usize, horizon: SimDuration, rate: f64) -> Table {
         .collect();
     let results = crate::sweep::parallel_map(jobs, |c| run_cluster_sim(&c));
     for (policy, r) in PlacementPolicy::ALL.into_iter().zip(&results) {
-        crate::record_sim_summary(&r.summary);
+        counters.record(&r.summary);
         let xs = &r.server_overcommitment;
         t.row(vec![
             policy.name().to_string(),
@@ -267,8 +263,13 @@ pub fn fig8d_with(n_servers: usize, horizon: SimDuration, rate: f64) -> Table {
 }
 
 /// All four panels at paper scale.
-pub fn run() -> Vec<Table> {
-    vec![fig8a(), fig8b(), fig8c(), fig8d()]
+pub fn run(counters: &mut RunCounters) -> Vec<Table> {
+    vec![
+        fig8a(),
+        fig8b(),
+        fig8c_with(&Fig8cConfig::default(), counters),
+        fig8d_with(100, SimDuration::from_hours(24), 320.0, counters),
+    ]
 }
 
 #[cfg(test)]
@@ -316,7 +317,7 @@ mod tests {
             horizon: SimDuration::from_hours(8),
             rates: vec![25.0, 60.0],
         };
-        let t = fig8c_with(&cfg);
+        let t = fig8c_with(&cfg, &mut RunCounters::default());
         assert_eq!(t.rows.len(), 2);
         // Deflation preempts (much) less than preemption-only at load.
         let defl_hi = t.cell(1, 3);
@@ -326,7 +327,12 @@ mod tests {
 
     #[test]
     fn fig8d_small_scale_policies_similar() {
-        let t = fig8d_with(15, SimDuration::from_hours(8), 50.0);
+        let t = fig8d_with(
+            15,
+            SimDuration::from_hours(8),
+            50.0,
+            &mut RunCounters::default(),
+        );
         assert_eq!(t.rows.len(), 3);
         let means = t.column(1);
         let spread = stats::max(&means) - stats::min(&means);

@@ -24,7 +24,7 @@ use cluster::{
 use deflate_core::ResourceVector;
 use simkit::SimDuration;
 
-use crate::{f1, f3, Table};
+use crate::{f1, f3, RunCounters, Table};
 
 /// Sweep configuration (shrunk in tests).
 #[derive(Debug, Clone)]
@@ -113,7 +113,7 @@ fn p_distress(r: &cluster::ClusterSimResult) -> f64 {
 }
 
 /// The sweep: one row per aggressiveness level, both arms side by side.
-pub fn fig_distress_with(cfg: &FigDistressConfig) -> Table {
+pub fn fig_distress_with(cfg: &FigDistressConfig, counters: &mut RunCounters) -> Table {
     let mut t = Table::new(
         "fig_distress",
         "Guest OOM kills, goodput and P[distress] vs deflation aggressiveness: \
@@ -138,8 +138,8 @@ pub fn fig_distress_with(cfg: &FigDistressConfig) -> Table {
     let results = crate::sweep::parallel_map(jobs, |c| run_cluster_sim(&c));
     for (i, &msf) in cfg.min_size_fractions.iter().enumerate() {
         let (u, g) = (&results[2 * i], &results[2 * i + 1]);
-        crate::record_sim_summary(&u.summary);
-        crate::record_sim_summary(&g.summary);
+        counters.record(&u.summary);
+        counters.record(&g.summary);
         t.row(vec![
             format!("{msf:.2}"),
             format!("{}", u.stats.oom_kills),
@@ -162,13 +162,13 @@ pub fn fig_distress_with(cfg: &FigDistressConfig) -> Table {
 }
 
 /// The sweep at default scale.
-pub fn run() -> Vec<Table> {
-    vec![fig_distress_with(&FigDistressConfig::default())]
+pub fn run(counters: &mut RunCounters) -> Vec<Table> {
+    vec![fig_distress_with(&FigDistressConfig::default(), counters)]
 }
 
 /// The sweep at CI scale (finishes in seconds).
-pub fn run_small() -> Vec<Table> {
-    vec![fig_distress_with(&small_config())]
+pub fn run_small(counters: &mut RunCounters) -> Vec<Table> {
+    vec![fig_distress_with(&small_config(), counters)]
 }
 
 fn small_config() -> FigDistressConfig {
@@ -187,7 +187,7 @@ mod tests {
 
     #[test]
     fn guarded_loop_dominates() {
-        let t = fig_distress_with(&small_config());
+        let t = fig_distress_with(&small_config(), &mut RunCounters::default());
         assert_eq!(t.rows.len(), 3);
         let (kills_u, kills_g) = (t.column(1), t.column(2));
         // The sweep must actually reach distress somewhere, and the most

@@ -32,7 +32,7 @@
 use cluster::{run_cluster_sim, ClusterManagerConfig, ClusterSimConfig, TraceConfig};
 use simkit::{AdmissionOverflow, FaultPlan, ManagerPlan, SimDuration};
 
-use crate::{f1, f3, Table};
+use crate::{f1, f3, RunCounters, Table};
 
 /// Sweep configuration (shrunk in tests).
 #[derive(Debug, Clone)]
@@ -143,10 +143,15 @@ fn histogram_mean(r: &cluster::ClusterSimResult, key: &str) -> f64 {
         .unwrap_or(0.0)
 }
 
-fn sweep_rows(t: &mut Table, labels: Vec<String>, jobs: Vec<ClusterSimConfig>) {
+fn sweep_rows(
+    t: &mut Table,
+    labels: Vec<String>,
+    jobs: Vec<ClusterSimConfig>,
+    counters: &mut RunCounters,
+) {
     let results = crate::sweep::parallel_map(jobs, |c| run_cluster_sim(&c));
     for (label, r) in labels.into_iter().zip(&results) {
-        crate::record_sim_summary(&r.summary);
+        counters.record(&r.summary);
         let scans = counter(r, "cluster.recovery_scans");
         let divergence = counter(r, "cluster.recovery_divergence");
         t.row(vec![
@@ -178,7 +183,7 @@ const COLUMNS: [&str; 10] = [
 ];
 
 /// Panel (a): goodput and queue traffic vs manager-crash rate.
-pub fn fig_failover_a_with(cfg: &FigFailoverConfig) -> Table {
+pub fn fig_failover_a_with(cfg: &FigFailoverConfig, counters: &mut RunCounters) -> Table {
     let mut t = Table::new(
         "fig_failover_a",
         "Cluster goodput vs manager-crash rate (fixed downtime)",
@@ -198,7 +203,7 @@ pub fn fig_failover_a_with(cfg: &FigFailoverConfig) -> Table {
             )
         })
         .collect();
-    sweep_rows(&mut t, labels, jobs);
+    sweep_rows(&mut t, labels, jobs, counters);
     t.expect(
         "degradation is graceful: hosted VMs keep running and billing \
          autonomously through every manager crash, so goodput stays \
@@ -212,7 +217,7 @@ pub fn fig_failover_a_with(cfg: &FigFailoverConfig) -> Table {
 }
 
 /// Panel (b): queue pressure and divergence vs manager downtime.
-pub fn fig_failover_b_with(cfg: &FigFailoverConfig) -> Table {
+pub fn fig_failover_b_with(cfg: &FigFailoverConfig, counters: &mut RunCounters) -> Table {
     let mut t = Table::new(
         "fig_failover_b",
         "Admission-queue pressure vs manager downtime (fixed rate)",
@@ -236,7 +241,7 @@ pub fn fig_failover_b_with(cfg: &FigFailoverConfig) -> Table {
             )
         })
         .collect();
-    sweep_rows(&mut t, labels, jobs);
+    sweep_rows(&mut t, labels, jobs, counters);
     t.expect(
         "longer manager outages park more arrivals, make them wait \
          longer, and accumulate more autonomous divergence per \
@@ -247,7 +252,7 @@ pub fn fig_failover_b_with(cfg: &FigFailoverConfig) -> Table {
 }
 
 /// Panel (c): Reject vs Defer at a deliberately tiny admission queue.
-pub fn fig_failover_c_with(cfg: &FigFailoverConfig) -> Table {
+pub fn fig_failover_c_with(cfg: &FigFailoverConfig, counters: &mut RunCounters) -> Table {
     let mut t = Table::new(
         "fig_failover_c",
         "Admission-queue overflow policy at a tiny queue (Reject vs Defer)",
@@ -265,7 +270,7 @@ pub fn fig_failover_c_with(cfg: &FigFailoverConfig) -> Table {
         .iter()
         .map(|(_, ov)| sim_config(cfg, cfg.fixed_prob, cfg.fixed_downtime, cfg.small_cap, *ov))
         .collect();
-    sweep_rows(&mut t, labels, jobs);
+    sweep_rows(&mut t, labels, jobs, counters);
     t.expect(
         "with the queue squeezed, Reject sheds overflow permanently \
          while Defer converts every overflow into a retry after a \
@@ -277,22 +282,22 @@ pub fn fig_failover_c_with(cfg: &FigFailoverConfig) -> Table {
 }
 
 /// All panels at default scale.
-pub fn run() -> Vec<Table> {
+pub fn run(counters: &mut RunCounters) -> Vec<Table> {
     let cfg = FigFailoverConfig::default();
     vec![
-        fig_failover_a_with(&cfg),
-        fig_failover_b_with(&cfg),
-        fig_failover_c_with(&cfg),
+        fig_failover_a_with(&cfg, counters),
+        fig_failover_b_with(&cfg, counters),
+        fig_failover_c_with(&cfg, counters),
     ]
 }
 
 /// All panels at CI scale (finishes in seconds).
-pub fn run_small() -> Vec<Table> {
+pub fn run_small(counters: &mut RunCounters) -> Vec<Table> {
     let cfg = small_cfg();
     vec![
-        fig_failover_a_with(&cfg),
-        fig_failover_b_with(&cfg),
-        fig_failover_c_with(&cfg),
+        fig_failover_a_with(&cfg, counters),
+        fig_failover_b_with(&cfg, counters),
+        fig_failover_c_with(&cfg, counters),
     ]
 }
 
@@ -316,7 +321,7 @@ mod tests {
 
     #[test]
     fn degradation_is_graceful_and_every_crash_recovers() {
-        let t = fig_failover_a_with(&small_cfg());
+        let t = fig_failover_a_with(&small_cfg(), &mut RunCounters::default());
         assert_eq!(t.rows.len(), 3);
         // The crash-free row shows no failover machinery at all.
         assert_eq!(t.cell(0, 3), 0.0, "no crashes at rate 0");
@@ -345,7 +350,7 @@ mod tests {
 
     #[test]
     fn queue_pressure_tracks_downtime() {
-        let t = fig_failover_b_with(&small_cfg());
+        let t = fig_failover_b_with(&small_cfg(), &mut RunCounters::default());
         assert_eq!(t.rows.len(), 2);
         let (short, long) = (0, 1);
         assert!(
@@ -370,7 +375,7 @@ mod tests {
 
     #[test]
     fn overflow_policies_shed_or_defer() {
-        let t = fig_failover_c_with(&small_cfg());
+        let t = fig_failover_c_with(&small_cfg(), &mut RunCounters::default());
         assert_eq!(t.rows.len(), 2);
         let (reject, defer) = (0, 1);
         assert!(t.cell(reject, 5) > 0.0, "tiny queue must overflow");

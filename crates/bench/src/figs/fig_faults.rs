@@ -18,7 +18,7 @@ use cluster::{run_cluster_sim, ClusterManagerConfig, ClusterSimConfig, TraceConf
 use deflate_core::{CascadeConfig, RetryPolicy};
 use simkit::{FaultPlan, SimDuration};
 
-use crate::{f1, f3, Table};
+use crate::{f1, f3, RunCounters, Table};
 
 /// Sweep configuration (shrunk in tests).
 #[derive(Debug, Clone)]
@@ -91,7 +91,7 @@ fn counter(r: &cluster::ClusterSimResult, key: &str) -> f64 {
 }
 
 /// Panel (a): goodput and latency vs fault rate.
-pub fn fig_faults_a_with(cfg: &FigFaultsConfig) -> Table {
+pub fn fig_faults_a_with(cfg: &FigFaultsConfig, counters: &mut RunCounters) -> Table {
     let mut t = Table::new(
         "fig_faults_a",
         "Cluster goodput and latency vs fault rate (chaos plan, scaled)",
@@ -113,7 +113,7 @@ pub fn fig_faults_a_with(cfg: &FigFaultsConfig) -> Table {
         .collect();
     let results = crate::sweep::parallel_map(jobs, |c| run_cluster_sim(&c));
     for (&k, r) in cfg.fault_scales.iter().zip(&results) {
-        crate::record_sim_summary(&r.summary);
+        counters.record(&r.summary);
         let agent_faults =
             counter(r, "fault.injected.agent_down") + counter(r, "fault.injected.msg_loss");
         t.row(vec![
@@ -137,7 +137,7 @@ pub fn fig_faults_a_with(cfg: &FigFaultsConfig) -> Table {
 }
 
 /// Panel (b): deflation vs preemption-only under the unscaled chaos plan.
-pub fn fig_faults_b_with(cfg: &FigFaultsConfig) -> Table {
+pub fn fig_faults_b_with(cfg: &FigFaultsConfig, counters: &mut RunCounters) -> Table {
     let mut t = Table::new(
         "fig_faults_b",
         "Deflation vs preemption-only under the default chaos plan",
@@ -156,7 +156,7 @@ pub fn fig_faults_b_with(cfg: &FigFaultsConfig) -> Table {
         .collect();
     let results = crate::sweep::parallel_map(jobs, |(_, c)| run_cluster_sim(&c));
     for (deflation, r) in [true, false].into_iter().zip(&results) {
-        crate::record_sim_summary(&r.summary);
+        counters.record(&r.summary);
         t.row(vec![
             if deflation {
                 "deflation"
@@ -180,13 +180,16 @@ pub fn fig_faults_b_with(cfg: &FigFaultsConfig) -> Table {
 }
 
 /// Both panels at default scale.
-pub fn run() -> Vec<Table> {
+pub fn run(counters: &mut RunCounters) -> Vec<Table> {
     let cfg = FigFaultsConfig::default();
-    vec![fig_faults_a_with(&cfg), fig_faults_b_with(&cfg)]
+    vec![
+        fig_faults_a_with(&cfg, counters),
+        fig_faults_b_with(&cfg, counters),
+    ]
 }
 
 /// Both panels at CI scale (finishes in seconds).
-pub fn run_small() -> Vec<Table> {
+pub fn run_small(counters: &mut RunCounters) -> Vec<Table> {
     let cfg = FigFaultsConfig {
         n_servers: 15,
         horizon: SimDuration::from_hours(8),
@@ -194,7 +197,10 @@ pub fn run_small() -> Vec<Table> {
         fault_scales: vec![0.0, 1.0, 4.0],
         ..FigFaultsConfig::default()
     };
-    vec![fig_faults_a_with(&cfg), fig_faults_b_with(&cfg)]
+    vec![
+        fig_faults_a_with(&cfg, counters),
+        fig_faults_b_with(&cfg, counters),
+    ]
 }
 
 #[cfg(test)]
@@ -212,8 +218,31 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_runs_keep_their_own_counters() {
+        // Two runs on two threads of one process: each sees exactly the
+        // counters of its own simulations, which match its table.
+        let run = || {
+            let mut counters = RunCounters::default();
+            let t = fig_faults_b_with(&small(), &mut counters);
+            (t, counters)
+        };
+        let ((t1, c1), (t2, c2)) = std::thread::scope(|s| {
+            let other = s.spawn(run);
+            (run(), other.join().expect("second run"))
+        });
+        assert_eq!(c1, c2);
+        assert_eq!(t1.to_tsv(), t2.to_tsv());
+        let doc = crate::run_summary("fig_faults", &[], &c1, 0.0);
+        let crashes = doc
+            .get("faults")
+            .and_then(|f| f.get("cluster.server_crashes"))
+            .and_then(|v| v.as_f64());
+        assert_eq!(crashes, Some(t1.column(5).iter().sum()));
+    }
+
+    #[test]
     fn degradation_is_graceful() {
-        let t = fig_faults_a_with(&small());
+        let t = fig_faults_a_with(&small(), &mut RunCounters::default());
         assert_eq!(t.rows.len(), 3);
         let good = t.column(1);
         let lat = t.column(2);
@@ -238,7 +267,7 @@ mod tests {
 
     #[test]
     fn deflation_survives_chaos() {
-        let t = fig_faults_b_with(&small());
+        let t = fig_faults_b_with(&small(), &mut RunCounters::default());
         assert_eq!(t.rows.len(), 2);
         let (defl, pre) = (0, 1);
         assert!(

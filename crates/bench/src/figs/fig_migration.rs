@@ -26,7 +26,7 @@ use cluster::{
 use deflate_core::ResourceVector;
 use simkit::SimDuration;
 
-use crate::{f1, Table};
+use crate::{f1, RunCounters, Table};
 
 /// Sweep configuration (shrunk in tests).
 #[derive(Debug, Clone)]
@@ -113,7 +113,7 @@ fn counter(r: &cluster::ClusterSimResult, key: &str) -> f64 {
 }
 
 /// The sweep: one row per aggressiveness level, three arms side by side.
-pub fn fig_migration_with(cfg: &FigMigrationConfig) -> Table {
+pub fn fig_migration_with(cfg: &FigMigrationConfig, counters: &mut RunCounters) -> Table {
     let mut t = Table::new(
         "fig_migration",
         "Goodput and guest OOM kills vs deflation aggressiveness: \
@@ -144,9 +144,9 @@ pub fn fig_migration_with(cfg: &FigMigrationConfig) -> Table {
     let results = crate::sweep::parallel_map(jobs, |c| run_cluster_sim(&c));
     for (i, &msf) in cfg.min_size_fractions.iter().enumerate() {
         let (d, m, c) = (&results[3 * i], &results[3 * i + 1], &results[3 * i + 2]);
-        crate::record_sim_summary(&d.summary);
-        crate::record_sim_summary(&m.summary);
-        crate::record_sim_summary(&c.summary);
+        counters.record(&d.summary);
+        counters.record(&m.summary);
+        counters.record(&c.summary);
         t.row(vec![
             format!("{msf:.2}"),
             f1(goodput(d)),
@@ -169,13 +169,13 @@ pub fn fig_migration_with(cfg: &FigMigrationConfig) -> Table {
 }
 
 /// The sweep at default scale.
-pub fn run() -> Vec<Table> {
-    vec![fig_migration_with(&FigMigrationConfig::default())]
+pub fn run(counters: &mut RunCounters) -> Vec<Table> {
+    vec![fig_migration_with(&FigMigrationConfig::default(), counters)]
 }
 
 /// The sweep at CI scale (finishes in seconds).
-pub fn run_small() -> Vec<Table> {
-    vec![fig_migration_with(&small_config())]
+pub fn run_small(counters: &mut RunCounters) -> Vec<Table> {
+    vec![fig_migration_with(&small_config(), counters)]
 }
 
 fn small_config() -> FigMigrationConfig {
@@ -194,7 +194,7 @@ mod tests {
 
     #[test]
     fn combined_arm_dominates() {
-        let t = fig_migration_with(&small_config());
+        let t = fig_migration_with(&small_config(), &mut RunCounters::default());
         assert_eq!(t.rows.len(), 3);
         let (gp_d, gp_m, gp_c) = (t.column(1), t.column(2), t.column(3));
         // Sweep-total goodput: combining both mechanisms must not lose

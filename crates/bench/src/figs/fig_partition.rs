@@ -28,7 +28,7 @@
 use cluster::{run_cluster_sim, ClusterManagerConfig, ClusterSimConfig, TraceConfig};
 use simkit::{FaultPlan, PartitionPlan, SimDuration};
 
-use crate::{f1, f3, Table};
+use crate::{f1, f3, RunCounters, Table};
 
 /// Sweep configuration (shrunk in tests).
 #[derive(Debug, Clone)]
@@ -124,10 +124,15 @@ fn histogram_mean(r: &cluster::ClusterSimResult, key: &str) -> f64 {
         .unwrap_or(0.0)
 }
 
-fn sweep_rows(t: &mut Table, labels: Vec<String>, jobs: Vec<ClusterSimConfig>) {
+fn sweep_rows(
+    t: &mut Table,
+    labels: Vec<String>,
+    jobs: Vec<ClusterSimConfig>,
+    counters: &mut RunCounters,
+) {
     let results = crate::sweep::parallel_map(jobs, |c| run_cluster_sim(&c));
     for (label, r) in labels.into_iter().zip(&results) {
-        crate::record_sim_summary(&r.summary);
+        counters.record(&r.summary);
         let opened = counter(r, "cluster.partitions");
         let healed = counter(r, "cluster.partition_heals");
         let divergence = counter(r, "cluster.partition_divergence");
@@ -160,7 +165,7 @@ const COLUMNS: [&str; 8] = [
 ];
 
 /// Panel (a): goodput and reconciliation load vs partition rate.
-pub fn fig_partition_a_with(cfg: &FigPartitionConfig) -> Table {
+pub fn fig_partition_a_with(cfg: &FigPartitionConfig, counters: &mut RunCounters) -> Table {
     let mut t = Table::new(
         "fig_partition_a",
         "Cluster goodput vs manager\u{2194}server partition rate (fixed outage length)",
@@ -172,7 +177,7 @@ pub fn fig_partition_a_with(cfg: &FigPartitionConfig) -> Table {
         .iter()
         .map(|&p| sim_config(cfg, p, cfg.fixed_duration))
         .collect();
-    sweep_rows(&mut t, labels, jobs);
+    sweep_rows(&mut t, labels, jobs, counters);
     t.expect(
         "degradation is graceful and bounded: autonomous operation \
          keeps partitioned servers' VMs running and billing, so goodput \
@@ -185,7 +190,7 @@ pub fn fig_partition_a_with(cfg: &FigPartitionConfig) -> Table {
 }
 
 /// Panel (b): divergence per heal vs outage duration.
-pub fn fig_partition_b_with(cfg: &FigPartitionConfig) -> Table {
+pub fn fig_partition_b_with(cfg: &FigPartitionConfig, counters: &mut RunCounters) -> Table {
     let mut t = Table::new(
         "fig_partition_b",
         "Reconciliation load vs partition duration (fixed rate)",
@@ -201,7 +206,7 @@ pub fn fig_partition_b_with(cfg: &FigPartitionConfig) -> Table {
         .iter()
         .map(|&d| sim_config(cfg, cfg.fixed_prob, d))
         .collect();
-    sweep_rows(&mut t, labels, jobs);
+    sweep_rows(&mut t, labels, jobs, counters);
     t.expect(
         "longer outages accumulate more autonomous activity: the \
          divergence replayed per heal and the mean outage length grow \
@@ -212,15 +217,21 @@ pub fn fig_partition_b_with(cfg: &FigPartitionConfig) -> Table {
 }
 
 /// Both panels at default scale.
-pub fn run() -> Vec<Table> {
+pub fn run(counters: &mut RunCounters) -> Vec<Table> {
     let cfg = FigPartitionConfig::default();
-    vec![fig_partition_a_with(&cfg), fig_partition_b_with(&cfg)]
+    vec![
+        fig_partition_a_with(&cfg, counters),
+        fig_partition_b_with(&cfg, counters),
+    ]
 }
 
 /// Both panels at CI scale (finishes in seconds).
-pub fn run_small() -> Vec<Table> {
+pub fn run_small(counters: &mut RunCounters) -> Vec<Table> {
     let cfg = small_cfg();
-    vec![fig_partition_a_with(&cfg), fig_partition_b_with(&cfg)]
+    vec![
+        fig_partition_a_with(&cfg, counters),
+        fig_partition_b_with(&cfg, counters),
+    ]
 }
 
 fn small_cfg() -> FigPartitionConfig {
@@ -240,7 +251,7 @@ mod tests {
 
     #[test]
     fn degradation_is_graceful_and_everything_heals() {
-        let t = fig_partition_a_with(&small_cfg());
+        let t = fig_partition_a_with(&small_cfg(), &mut RunCounters::default());
         assert_eq!(t.rows.len(), 3);
         // Bounded degradation: partitions never kill VMs, so billed
         // CPU-hours stay within 2% of the partition-free baseline even
@@ -274,7 +285,7 @@ mod tests {
 
     #[test]
     fn divergence_grows_with_outage_length() {
-        let t = fig_partition_b_with(&small_cfg());
+        let t = fig_partition_b_with(&small_cfg(), &mut RunCounters::default());
         assert_eq!(t.rows.len(), 2);
         let (short, long) = (0, 1);
         assert!(

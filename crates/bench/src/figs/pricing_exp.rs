@@ -14,15 +14,15 @@ use cluster::{
 };
 use simkit::SimDuration;
 
-use crate::{f1, pct, Table};
+use crate::{f1, pct, RunCounters, Table};
 
 /// Revenue table across load levels and billing models.
-pub fn run() -> Table {
-    run_with(40, SimDuration::from_hours(12))
+pub fn run(counters: &mut RunCounters) -> Table {
+    run_with(40, SimDuration::from_hours(12), counters)
 }
 
 /// [`run`] with explicit scale (shrunk in tests).
-pub fn run_with(n_servers: usize, horizon: SimDuration) -> Table {
+pub fn run_with(n_servers: usize, horizon: SimDuration, counters: &mut RunCounters) -> Table {
     let mut t = Table::new(
         "pricing",
         "Provider revenue (USD) by reclamation and billing model",
@@ -55,7 +55,7 @@ pub fn run_with(n_servers: usize, horizon: SimDuration) -> Table {
                 horizon,
             };
             let r = run_cluster_sim(&cfg);
-            crate::record_sim_summary(&r.summary);
+            counters.record(&r.summary);
             results.push(r);
         }
         let pre_flat = revenue(&results[0], &rates, TransientPricing::FlatDiscount).total();
@@ -83,7 +83,7 @@ mod tests {
 
     #[test]
     fn deflation_revenue_dominates() {
-        let t = run_with(12, SimDuration::from_hours(6));
+        let t = run_with(12, SimDuration::from_hours(6), &mut RunCounters::default());
         for r in 1..t.rows.len() {
             // Under pressure, deflation out-earns preemption-only.
             assert!(

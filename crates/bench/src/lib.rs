@@ -1,19 +1,21 @@
 //! The experiment harness: regenerates every table and figure of the
-//! paper's evaluation (§6) from the models in this workspace.
+//! paper's evaluation (§6) from the models in this workspace, plus the
+//! ablations, fault sweeps and §8 pricing experiment this repository adds.
 //!
-//! Each `figs::*` module exposes a `run()` function returning one or more
-//! [`Table`]s; the `src/bin/fig*` binaries print them, and
-//! `src/bin/all_experiments` runs the full suite (the data behind
-//! `EXPERIMENTS.md`).
+//! Each `figs::*` module builds one or more [`Table`]s; the
+//! [`figs::FIGURES`] registry lists every experiment, and the `fig`
+//! binary runs one of them, or all of them (the data behind
+//! `EXPERIMENTS.md` and `results/`).
+
+#![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Mutex;
 
 pub mod figs;
 pub mod sweep;
 
-/// One section of every figure binary's run summary that hoists
+/// One section of every `fig` run summary that hoists
 /// counters out of the cluster simulations the figure ran.
 struct CounterSection {
     /// Section name in the run summary.
@@ -79,25 +81,34 @@ const COUNTER_SECTIONS: [CounterSection; 4] = [
     },
 ];
 
-/// Process-wide accumulator of every counter some [`COUNTER_SECTIONS`]
-/// row holds, scraped from cluster-simulation run summaries; printed by
-/// [`run_summary`].
-static SIM_COUNTERS: Mutex<BTreeMap<String, f64>> = Mutex::new(BTreeMap::new());
+/// The counters hoisted out of the cluster simulations one figure run
+/// did: every counter some [`COUNTER_SECTIONS`] row holds, summed per
+/// key. A figure run returns them next to its tables, and
+/// [`run_summary`] prints them.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RunCounters(BTreeMap<String, f64>);
 
-/// Folds the counters of one cluster-sim run summary that belong to any
-/// [`COUNTER_SECTIONS`] row into the accumulator behind every fig
-/// binary's run summary. Figures that run `run_cluster_sim` call this
-/// once per result so fault, distress, migration and failover activity
-/// is visible without each figure printing its own columns.
-pub fn record_sim_summary(doc: &simkit::JsonValue) {
-    let Some(counters) = doc.get("counters").and_then(|c| c.as_object()) else {
-        return;
-    };
-    let mut acc = SIM_COUNTERS.lock().expect("sim counter accumulator");
-    for (k, v) in counters {
-        let Some(n) = v.as_f64() else { continue };
-        if COUNTER_SECTIONS.iter().any(|sec| sec.holds(k)) {
-            *acc.entry(k.clone()).or_insert(0.0) += n;
+impl RunCounters {
+    /// Folds in the counters of one cluster-sim run summary that belong
+    /// to any [`COUNTER_SECTIONS`] row, so fault, distress, migration and
+    /// failover activity is visible without each figure printing its own
+    /// columns.
+    pub(crate) fn record(&mut self, doc: &simkit::JsonValue) {
+        let Some(counters) = doc.get("counters").and_then(|c| c.as_object()) else {
+            return;
+        };
+        for (k, v) in counters {
+            let Some(n) = v.as_f64() else { continue };
+            if COUNTER_SECTIONS.iter().any(|sec| sec.holds(k)) {
+                *self.0.entry(k.clone()).or_insert(0.0) += n;
+            }
+        }
+    }
+
+    /// Adds another run's counters to these.
+    pub(crate) fn merge(&mut self, other: &RunCounters) {
+        for (k, v) in &other.0 {
+            *self.0.entry(k.clone()).or_insert(0.0) += v;
         }
     }
 }
@@ -201,11 +212,16 @@ impl Table {
 }
 
 /// Builds the machine-readable observability report for one figure run:
-/// a JSON document with per-table row/column counts, aggregate counters,
-/// and the wall-clock time the experiment took. Every `fig*` binary
-/// prints this after its tables so harnesses can scrape results without
-/// parsing markdown.
-pub fn run_summary(run: &str, tables: &[Table], wall_time_s: f64) -> simkit::JsonValue {
+/// a JSON document with per-table row/column counts, the run's
+/// simulation `counters` by section, and the wall-clock time the
+/// experiment took. The `fig` binary prints this after its tables so
+/// harnesses can scrape results without parsing markdown.
+pub fn run_summary(
+    run: &str,
+    tables: &[Table],
+    counters: &RunCounters,
+    wall_time_s: f64,
+) -> simkit::JsonValue {
     let mut obs = simkit::Observability::new();
     for t in tables {
         obs.metrics.incr("bench.tables");
@@ -227,31 +243,17 @@ pub fn run_summary(run: &str, tables: &[Table], wall_time_s: f64) -> simkit::Jso
         );
     }
     doc.set("tables", tables_json);
-    let acc = SIM_COUNTERS.lock().expect("sim counter accumulator");
     for sec in &COUNTER_SECTIONS {
         let mut section = simkit::JsonValue::object();
         for key in sec.keys {
             section.set(key, 0.0);
         }
-        for (k, v) in acc.iter().filter(|(k, _)| sec.holds(k)) {
+        for (k, v) in counters.0.iter().filter(|(k, _)| sec.holds(k)) {
             section.set(k, *v);
         }
         doc.set(sec.name, section);
     }
     doc
-}
-
-/// Prints a figure run end-to-end: the markdown tables followed by the
-/// machine-readable run summary (fenced by a marker line for scraping).
-pub fn print_run(run: &str, runner: impl FnOnce() -> Vec<Table>) {
-    let start = std::time::Instant::now();
-    let tables = runner();
-    let wall = start.elapsed().as_secs_f64();
-    for t in &tables {
-        t.print();
-    }
-    println!("--- run summary ({run}) ---");
-    println!("{}", run_summary(run, &tables, wall).to_pretty());
 }
 
 /// Formats a float with 3 decimals.
@@ -321,7 +323,7 @@ mod tests {
 
     #[test]
     fn run_summary_is_machine_readable() {
-        let doc = run_summary("figX", &[sample(), sample()], 0.25);
+        let doc = run_summary("figX", &[sample(), sample()], &RunCounters::default(), 0.25);
         let text = doc.to_pretty();
         let parsed = simkit::JsonValue::parse(&text).expect("summary parses");
         assert_eq!(parsed.get("run").and_then(|v| v.as_str()), Some("figX"));
@@ -344,129 +346,155 @@ mod tests {
         assert_eq!(t.get("checked").and_then(|v| v.as_bool()), Some(true));
     }
 
+    /// Records one cluster-sim summary carrying `recorded` (plus a
+    /// counter no section holds) twice, and checks that the `name`
+    /// section of the run summary holds exactly its always-present keys
+    /// at zero and twice each recorded value.
+    fn assert_section_counts(name: &str, recorded: &[(&str, f64)]) {
+        let mut sim_counters = simkit::JsonValue::object().with("cluster.launched", 100.0);
+        for &(k, v) in recorded {
+            sim_counters.set(k, v);
+        }
+        let sim = simkit::JsonValue::object().with("counters", sim_counters);
+        let mut counters = RunCounters::default();
+        counters.record(&sim);
+        counters.record(&sim);
+        let doc = run_summary("figY", &[sample()], &counters, 0.1);
+        let got: BTreeMap<&str, f64> = doc
+            .get(name)
+            .and_then(|sec| sec.as_object())
+            .expect("section present")
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_f64().expect("numeric counter")))
+            .collect();
+        let mut want: BTreeMap<&str, f64> = section(name).keys.iter().map(|&k| (k, 0.0)).collect();
+        for &(k, v) in recorded {
+            want.insert(k, 2.0 * v);
+        }
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn run_summary_reports_fault_counters() {
-        // The resilience counters are always present (zero by default)…
-        let doc = run_summary("figY", &[sample()], 0.1);
-        let faults = doc.get("faults").expect("faults section");
-        for key in section("faults").keys {
-            assert!(
-                faults.get(key).and_then(|v| v.as_f64()).is_some(),
-                "{key} missing"
-            );
-        }
-        // …and fold in whatever the simulations recorded. (The
-        // accumulator is process-wide, so assert lower bounds: other
-        // tests may run simulations concurrently.)
-        let sim = simkit::JsonValue::object().with(
-            "counters",
-            simkit::JsonValue::object()
-                .with("cluster.server_crashes", 2.0)
-                .with("fault.injected.agent_down", 5.0)
-                .with("cluster.launched", 100.0),
+        assert_section_counts(
+            "faults",
+            &[
+                ("cluster.server_crashes", 2.0),
+                ("fault.injected.agent_down", 5.0),
+            ],
         );
-        record_sim_summary(&sim);
-        let doc = run_summary("figY", &[sample()], 0.1);
-        let faults = doc.get("faults").expect("faults section");
-        let get = |k: &str| faults.get(k).and_then(|v| v.as_f64()).unwrap_or(0.0);
-        assert!(get("cluster.server_crashes") >= 2.0);
-        assert!(get("fault.injected.agent_down") >= 5.0);
-        // Non-fault counters are not hoisted into the faults section.
-        assert!(faults.get("cluster.launched").is_none());
     }
 
     #[test]
     fn run_summary_reports_distress_counters() {
-        // The distress counters are always present (zero by default)…
-        let doc = run_summary("figZ", &[sample()], 0.1);
-        let distress = doc.get("distress").expect("distress section");
-        for key in section("distress").keys {
-            assert!(
-                distress.get(key).and_then(|v| v.as_f64()).is_some(),
-                "{key} missing"
-            );
-        }
-        // …and fold in whatever the simulations recorded (lower bounds:
-        // the accumulator is process-wide).
-        let sim = simkit::JsonValue::object().with(
-            "counters",
-            simkit::JsonValue::object()
-                .with("cluster.oom_kills", 3.0)
-                .with("distress.hard_samples", 9.0)
-                .with("cluster.launched", 100.0),
+        assert_section_counts(
+            "distress",
+            &[("cluster.oom_kills", 3.0), ("distress.hard_samples", 9.0)],
         );
-        record_sim_summary(&sim);
-        let doc = run_summary("figZ", &[sample()], 0.1);
-        let distress = doc.get("distress").expect("distress section");
-        let get = |k: &str| distress.get(k).and_then(|v| v.as_f64()).unwrap_or(0.0);
-        assert!(get("cluster.oom_kills") >= 3.0);
-        assert!(get("distress.hard_samples") >= 9.0);
-        // Non-distress counters are not hoisted into the section.
-        assert!(distress.get("cluster.launched").is_none());
     }
 
     #[test]
     fn run_summary_reports_migration_counters() {
-        // The migration counters are always present (zero by default)…
-        let doc = run_summary("figM", &[sample()], 0.1);
-        let migration = doc.get("migration").expect("migration section");
-        for key in section("migration").keys {
-            assert!(
-                migration.get(key).and_then(|v| v.as_f64()).is_some(),
-                "{key} missing"
-            );
-        }
-        // …and fold in whatever the simulations recorded (lower bounds:
-        // the accumulator is process-wide).
-        let sim = simkit::JsonValue::object().with(
-            "counters",
-            simkit::JsonValue::object()
-                .with("cluster.migrations", 4.0)
-                .with("migration.downtime_s", 1.5)
-                .with("cluster.defrag_rounds", 2.0)
-                .with("cluster.launched", 100.0),
+        assert_section_counts(
+            "migration",
+            &[
+                ("cluster.migrations", 4.0),
+                ("migration.downtime_s", 1.5),
+                ("cluster.defrag_rounds", 2.0),
+            ],
         );
-        record_sim_summary(&sim);
-        let doc = run_summary("figM", &[sample()], 0.1);
-        let migration = doc.get("migration").expect("migration section");
-        let get = |k: &str| migration.get(k).and_then(|v| v.as_f64()).unwrap_or(0.0);
-        assert!(get("cluster.migrations") >= 4.0);
-        assert!(get("migration.downtime_s") >= 1.5);
-        assert!(get("cluster.defrag_rounds") >= 2.0);
-        // Non-migration counters are not hoisted into the section.
-        assert!(migration.get("cluster.launched").is_none());
     }
 
     #[test]
     fn run_summary_reports_failover_counters() {
-        // The failover counters are always present (zero by default)…
-        let doc = run_summary("figF", &[sample()], 0.1);
-        let failover = doc.get("failover").expect("failover section");
-        for key in section("failover").keys {
+        assert_section_counts(
+            "failover",
+            &[
+                ("fault.manager_crashes", 2.0),
+                ("cluster.admission_queue_deferred", 7.0),
+                ("cluster.recovery_divergence", 11.0),
+            ],
+        );
+    }
+
+    #[test]
+    fn merge_adds_per_key() {
+        let sim = |k: &str, v: f64| {
+            simkit::JsonValue::object().with("counters", simkit::JsonValue::object().with(k, v))
+        };
+        let (mut a, mut b) = (RunCounters::default(), RunCounters::default());
+        a.record(&sim("cluster.oom_kills", 3.0));
+        b.record(&sim("cluster.oom_kills", 4.0));
+        b.record(&sim("cluster.drains", 1.0));
+        a.merge(&b);
+        let mut want = RunCounters::default();
+        want.record(&sim("cluster.oom_kills", 7.0));
+        want.record(&sim("cluster.drains", 1.0));
+        assert_eq!(a, want);
+    }
+
+    /// Parses the `### <id>` tables under "Raw results" in
+    /// EXPERIMENTS.md into rows of cells, keyed by id.
+    fn doc_tables(doc: &str) -> BTreeMap<String, Vec<Vec<String>>> {
+        let raw = doc.split_once("\n## Raw results\n").expect("Raw results").1;
+        let mut tables = BTreeMap::new();
+        let mut lines = raw.lines();
+        while let Some(line) = lines.next() {
+            let Some(heading) = line.strip_prefix("### ") else {
+                continue;
+            };
+            let id = heading.split(" — ").next().expect("id").to_string();
+            let rows = lines
+                .by_ref()
+                .skip_while(|l| l.trim().is_empty())
+                .take_while(|l| l.starts_with('|'))
+                .filter(|l| !l.starts_with("|---"))
+                .map(|l| {
+                    l.trim_matches('|')
+                        .split('|')
+                        .map(|c| c.trim().to_string())
+                        .collect()
+                })
+                .collect();
+            tables.insert(id, rows);
+        }
+        tables
+    }
+
+    #[test]
+    fn experiments_doc_matches_results() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let doc = std::fs::read_to_string(root.join("EXPERIMENTS.md")).expect("EXPERIMENTS.md");
+        let documented = doc_tables(&doc);
+        let mut committed = BTreeMap::new();
+        for entry in std::fs::read_dir(root.join("results")).expect("results/") {
+            let path = entry.expect("results/ entry").path();
+            let name = path.file_name().and_then(|n| n.to_str()).expect("name");
+            let Some(id) = name.strip_suffix(".tsv") else {
+                continue;
+            };
+            let tsv = std::fs::read_to_string(&path).expect("TSV");
+            let rows: Vec<Vec<String>> = tsv
+                .lines()
+                .map(|l| l.split('\t').map(String::from).collect())
+                .collect();
+            committed.insert(id.to_string(), rows);
+        }
+        for (id, rows) in &committed {
+            let doc_rows = documented
+                .get(id)
+                .unwrap_or_else(|| panic!("results/{id}.tsv has no section in EXPERIMENTS.md"));
+            assert_eq!(doc_rows.len(), rows.len(), "{id}: row count");
+            for (r, (d, t)) in doc_rows.iter().zip(rows).enumerate() {
+                assert_eq!(d, t, "{id} row {r}: EXPERIMENTS.md vs results/{id}.tsv");
+            }
+        }
+        for id in documented.keys() {
             assert!(
-                failover.get(key).and_then(|v| v.as_f64()).is_some(),
-                "{key} missing"
+                committed.contains_key(id),
+                "{id} is documented but not in results/"
             );
         }
-        // …and fold in whatever the simulations recorded (lower bounds:
-        // the accumulator is process-wide).
-        let sim = simkit::JsonValue::object().with(
-            "counters",
-            simkit::JsonValue::object()
-                .with("fault.manager_crashes", 2.0)
-                .with("cluster.admission_queue_deferred", 7.0)
-                .with("cluster.recovery_divergence", 11.0)
-                .with("cluster.launched", 100.0),
-        );
-        record_sim_summary(&sim);
-        let doc = run_summary("figF", &[sample()], 0.1);
-        let failover = doc.get("failover").expect("failover section");
-        let get = |k: &str| failover.get(k).and_then(|v| v.as_f64()).unwrap_or(0.0);
-        assert!(get("fault.manager_crashes") >= 2.0);
-        assert!(get("cluster.admission_queue_deferred") >= 7.0);
-        assert!(get("cluster.recovery_divergence") >= 11.0);
-        // Non-failover counters are not hoisted into the section.
-        assert!(failover.get("cluster.launched").is_none());
     }
 
     #[test]

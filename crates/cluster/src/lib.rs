@@ -30,6 +30,8 @@
 //! reports, with no persisted snapshot. Every fault domain is empty by
 //! default and byte-identical when off.
 
+#![deny(unsafe_code)]
+
 pub mod distress;
 pub mod manager;
 pub mod migration;

@@ -1179,6 +1179,7 @@ struct CellOutcome {
 /// session-leak bug, which debug builds catch by panicking at the leak
 /// site.)
 struct CellSlot(SimCell);
+#[allow(unsafe_code)]
 unsafe impl Send for CellSlot {}
 
 fn run_with_source(cfg: &ClusterSimConfig, source: Source) -> ClusterSimResult {

@@ -13,6 +13,8 @@
 //! check-only mode — no calibration, no measurement window — so CI can
 //! verify benches still compile and run without paying bench time.
 
+#![forbid(unsafe_code)]
+
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 

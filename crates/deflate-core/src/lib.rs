@@ -36,6 +36,8 @@
 //! assert!(spec.dominates(&half));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cascade;
 pub mod error;
 pub mod ids;

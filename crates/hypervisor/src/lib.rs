@@ -34,6 +34,8 @@
 //!   schedule from the guest's dirty-page churn, then commit the move
 //!   or roll the reservation back under the same Drop-guard contract.
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod burstable;
 pub mod guest;

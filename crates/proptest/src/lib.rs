@@ -14,6 +14,8 @@
 //! cases are *not* shrunk — the failing input is printed as-is. Case
 //! generation is deterministic per test name, so failures reproduce.
 
+#![forbid(unsafe_code)]
+
 pub mod collection;
 pub mod strategy;
 pub mod string;

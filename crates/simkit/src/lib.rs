@@ -40,6 +40,8 @@
 //! assert_eq!(seen[0].0, SimTime::from_secs(1));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod event;
 pub mod fault;
 pub mod hash;

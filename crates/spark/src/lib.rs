@@ -34,6 +34,8 @@
 //! * [`workloads`] — the paper's four Spark workloads (Table 2): ALS,
 //!   K-means, CNN and RNN training.
 
+#![forbid(unsafe_code)]
+
 pub mod exec;
 pub mod policy;
 pub mod rdd;
