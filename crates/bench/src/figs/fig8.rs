@@ -37,7 +37,7 @@ pub fn fig8a() -> Table {
     let capacity = worker_spec.scale(8.0);
     let mut server = PhysicalServer::new(deflate_core::ServerId(0), capacity);
     for i in 0..8 {
-        let vm = Vm::new(VmId(i), worker_spec, VmPriority::Low);
+        let mut vm = Vm::new(VmId(i), worker_spec, VmPriority::Low);
         vm.set_usage(10_000.0, 3.0);
         server.add_vm(vm);
     }

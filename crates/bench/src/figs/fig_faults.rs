@@ -190,32 +190,26 @@ pub fn run(counters: &mut RunCounters) -> Vec<Table> {
 
 /// Both panels at CI scale (finishes in seconds).
 pub fn run_small(counters: &mut RunCounters) -> Vec<Table> {
-    let cfg = FigFaultsConfig {
-        n_servers: 15,
-        horizon: SimDuration::from_hours(8),
-        arrivals_per_hour: 42.0,
-        fault_scales: vec![0.0, 1.0, 4.0],
-        ..FigFaultsConfig::default()
-    };
+    let cfg = small_config();
     vec![
         fig_faults_a_with(&cfg, counters),
         fig_faults_b_with(&cfg, counters),
     ]
 }
 
+fn small_config() -> FigFaultsConfig {
+    FigFaultsConfig {
+        n_servers: 15,
+        horizon: SimDuration::from_hours(8),
+        arrivals_per_hour: 42.0,
+        fault_scales: vec![0.0, 1.0, 4.0],
+        ..FigFaultsConfig::default()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn small() -> FigFaultsConfig {
-        FigFaultsConfig {
-            n_servers: 15,
-            horizon: SimDuration::from_hours(8),
-            arrivals_per_hour: 42.0,
-            fault_scales: vec![0.0, 1.0, 4.0],
-            ..FigFaultsConfig::default()
-        }
-    }
 
     #[test]
     fn concurrent_runs_keep_their_own_counters() {
@@ -223,7 +217,7 @@ mod tests {
         // counters of its own simulations, which match its table.
         let run = || {
             let mut counters = RunCounters::default();
-            let t = fig_faults_b_with(&small(), &mut counters);
+            let t = fig_faults_b_with(&small_config(), &mut counters);
             (t, counters)
         };
         let ((t1, c1), (t2, c2)) = std::thread::scope(|s| {
@@ -242,7 +236,7 @@ mod tests {
 
     #[test]
     fn degradation_is_graceful() {
-        let t = fig_faults_a_with(&small(), &mut RunCounters::default());
+        let t = fig_faults_a_with(&small_config(), &mut RunCounters::default());
         assert_eq!(t.rows.len(), 3);
         let good = t.column(1);
         let lat = t.column(2);
@@ -267,7 +261,7 @@ mod tests {
 
     #[test]
     fn deflation_survives_chaos() {
-        let t = fig_faults_b_with(&small(), &mut RunCounters::default());
+        let t = fig_faults_b_with(&small_config(), &mut RunCounters::default());
         assert_eq!(t.rows.len(), 2);
         let (defl, pre) = (0, 1);
         assert!(

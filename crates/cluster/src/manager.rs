@@ -34,7 +34,8 @@ use crate::traces::VmRequest;
 const DEFAULT_AGENT_WAIT: SimDuration = SimDuration::from_secs(30);
 
 /// Release builds audit one placement or destination query in this many
-/// against its scan oracle; debug builds audit every query.
+/// against its scan oracle, and one distress-sampling round in this many
+/// against ground truth; debug builds audit every query and round.
 const AUDIT_EVERY: u64 = 256;
 
 /// Cluster manager configuration.
@@ -246,7 +247,7 @@ struct InFlightMigration {
 /// consecutive-sample counters, and its exponential hold-off state.
 /// `pub(crate)` so a [`PartitionSession`] can park it while the hosting
 /// server is unreachable and hand it back at heal time.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub(crate) struct VmDistress {
     /// When the current uninterrupted hard-distress episode began.
     pub(crate) hard_since: Option<SimTime>,
@@ -262,9 +263,39 @@ pub(crate) struct VmDistress {
     pub(crate) open: bool,
 }
 
+impl VmDistress {
+    /// Whether a healthy sample would change this state: an open breaker
+    /// counts healthy samples toward closing, and a distress streak or a
+    /// grace-window clock resets. A closed breaker's trip count and hold
+    /// persist through healthy samples unchanged, so they are not live.
+    pub(crate) fn live(&self) -> bool {
+        self.open || self.consecutive > 0 || self.hard_since.is_some()
+    }
+}
+
 /// Per-VM distress state keyed by VM, owned by the manager for
 /// reachable servers and by a [`PartitionSession`] for partitioned ones.
+/// Default states are not stored: every reader treats a missing entry as
+/// default.
 pub(crate) type DistressMap = HashMap<VmId, VmDistress, SeqHash>;
+
+/// What the distress sampler last saw of one server.
+#[derive(Debug, Clone, Copy)]
+struct SampledServer {
+    /// The server's version at the start of the last sampling round it
+    /// was reachable for; a different version now marks it dirty.
+    version: u64,
+    /// Its low-priority guest count at that version.
+    low: usize,
+}
+
+/// What one guest's distress sample did, for the round's bookkeeping.
+struct Sampled {
+    /// Whether the guest was distressed.
+    distressed: bool,
+    /// The server a rescue migration reserved on, or tried to.
+    rescue_dst: Option<usize>,
+}
 
 /// Where a local-controller step's side effects land. The step itself —
 /// sampling, emergency grants, departures, crashes, reboots — is one
@@ -383,11 +414,18 @@ pub struct ClusterManager {
     /// reclaiming placement, so it recycles this instead of allocating.
     scratch_ids: Vec<VmId>,
     /// Reusable `(vm, server)` buffer for the distress sampling round's
-    /// deterministic ordering pass (O(running VMs) per round).
+    /// queue, kept in VM order.
     scratch_sample: Vec<(u64, usize)>,
     /// Placement and destination queries answered so far; it picks
     /// which ones are audited (see [`AUDIT_EVERY`]).
     queries: u64,
+    /// Per server, what the distress sampler saw at the start of the
+    /// last round; empty (and never touched) while the distress loop is
+    /// disabled.
+    sampled: Vec<SampledServer>,
+    /// Distress-sampling rounds run so far; it picks which ones are
+    /// audited (see [`AUDIT_EVERY`]).
+    sample_rounds: u64,
 }
 
 impl ClusterManager {
@@ -423,6 +461,17 @@ impl ClusterManager {
         };
         let pindex = PlacementIndex::new(&servers);
         let servers_len = servers.len();
+        // Sentinel versions (live ones never reach it) make every server
+        // dirty for the first sampling round.
+        let sampled = if cfg.distress.is_none() {
+            Vec::new()
+        } else {
+            let unseen = SampledServer {
+                version: u64::MAX,
+                low: 0,
+            };
+            vec![unseen; servers_len]
+        };
         ClusterManager {
             cfg,
             servers,
@@ -452,6 +501,8 @@ impl ClusterManager {
             scratch_ids: Vec::new(),
             scratch_sample: Vec::new(),
             queries: 0,
+            sampled,
+            sample_rounds: 0,
         }
     }
 
@@ -1270,7 +1321,7 @@ impl ClusterManager {
         } else {
             ResourceVector::ZERO
         };
-        let vm = if self.cfg.distress.is_none() {
+        let mut vm = if self.cfg.distress.is_none() {
             Vm::new(req.id, req.spec, priority).with_min(min)
         } else {
             // Under the distress loop guests get force-unplug semantics
@@ -1500,48 +1551,164 @@ impl ClusterManager {
         self.distress.get(&id).is_some_and(|s| s.open)
     }
 
-    /// One distress-sampling round over every low-priority VM on the
+    /// Sets a hosted guest's application usage (resident memory and busy
+    /// vCPUs): a workload shock. The change goes through the hosting
+    /// server's `vm_mut`, so the server's version moves and the distress
+    /// sampler revisits it. Returns `false` when no server hosts the VM
+    /// (it departed, or died unobserved behind a partition).
+    pub fn set_vm_usage(&mut self, id: VmId, memory_mb: f64, busy_vcpus: f64) -> bool {
+        let Some(&si) = self.index.get(&id) else {
+            return false;
+        };
+        let Some(vm) = self.servers[si].vm_mut(id) else {
+            return false;
+        };
+        vm.set_usage(memory_mb, busy_vcpus);
+        self.refresh_index(si);
+        true
+    }
+
+    /// One distress-sampling round over the low-priority guests of the
     /// reachable servers (partitioned ones sample themselves through
     /// [`autonomous_sample`](Self::autonomous_sample)). Returns the
     /// kills, slowdowns and rescue migrations for the simulator to act
     /// on. A no-op unless the distress loop is enabled.
+    ///
+    /// The round is event-driven but matches a full scan of every such
+    /// guest in VM order, event for event: a healthy guest whose distress
+    /// state is not [live](VmDistress::live) samples as a no-op, and its
+    /// guest state cannot change without its server's version moving.
+    /// So the round visits, in VM order, only the **watch set** (guests
+    /// with a live state) and the guests of **dirty servers** (whose
+    /// version moved since the previous round started). A sample that
+    /// moves a server mid-round — an emergency grant deflating donors, an
+    /// OOM kill reinflating survivors, a rescue reservation on a
+    /// destination — adds that server's guests after the cursor to the
+    /// round; those before it are sampled next round, as the server is
+    /// dirty then. An **audit** checks the skip rule against ground
+    /// truth (see [`audit_skipped`](Self::audit_skipped)).
     pub fn sample_distress(&mut self, now: SimTime) -> Vec<DistressEvent> {
         let d = self.cfg.distress;
         if d.is_none() {
             return Vec::new();
         }
+        let mut queue = std::mem::take(&mut self.scratch_sample);
+        let population = self.plan_round(&mut queue);
+        self.sample_rounds += 1;
+        if cfg!(debug_assertions) || self.sample_rounds % AUDIT_EVERY == 0 {
+            self.audit_skipped(&queue);
+        }
         let mut events = Vec::new();
-        // Deterministic sample order regardless of hash-map iteration.
-        // The buffer is O(running VMs) and rebuilt every round, so it is
-        // recycled across rounds instead of reallocated.
-        let mut vms = std::mem::take(&mut self.scratch_sample);
-        vms.clear();
-        vms.extend(
-            self.index
-                .iter()
-                .filter(|(id, si)| {
-                    !self.partitions.contains_key(*si)
-                        && self.servers[**si]
-                            .vm(**id)
-                            .is_some_and(|v| v.priority() == VmPriority::Low)
-                })
-                .map(|(id, si)| (id.0, *si)),
-        );
-        vms.sort_unstable();
         let mut distressed = 0u64;
-        for &(raw, si) in &vms {
-            if self.sample_vm(now, si, VmId(raw), &mut Sink::Live, &mut events) {
-                distressed += 1;
+        let mut next = 0;
+        while let Some(&(raw, si)) = queue.get(next) {
+            next += 1;
+            let version = self.servers[si].version();
+            let sampled = self.sample_vm(now, si, VmId(raw), &mut Sink::Live, &mut events);
+            distressed += u64::from(sampled.distressed);
+            if self.servers[si].version() != version {
+                self.enqueue_after(&mut queue, next, si, raw);
+            }
+            if let Some(di) = sampled.rescue_dst {
+                self.enqueue_after(&mut queue, next, di, raw);
             }
         }
         let secs = |n: u64| (n as f64 * d.sample_interval.as_secs_f64()) as u64;
         let m = &mut self.obs.metrics;
-        m.add("distress.lowpri_sample_seconds", secs(vms.len() as u64));
+        m.add("distress.lowpri_sample_seconds", secs(population));
         m.add("cluster.distress_seconds", secs(distressed));
-        vms.clear();
-        self.scratch_sample = vms;
+        queue.clear();
+        self.scratch_sample = queue;
         self.update_gauges(now);
         events
+    }
+
+    /// Fills `queue` with one round's guests in VM order: those of every
+    /// reachable server whose version moved since the previous round
+    /// started (recording the version now), plus the watch set. Returns
+    /// the number of low-priority guests on reachable servers, kept per
+    /// server and recounted only when the server is dirty.
+    fn plan_round(&mut self, queue: &mut Vec<(u64, usize)>) -> u64 {
+        queue.clear();
+        let mut population = 0u64;
+        for (si, s) in self.servers.iter().enumerate() {
+            if self.reach[si] == Reachability::Partitioned {
+                continue;
+            }
+            let seen = &mut self.sampled[si];
+            if seen.version != s.version() {
+                seen.version = s.version();
+                let start = queue.len();
+                queue.extend(
+                    s.vms()
+                        .filter(|vm| vm.priority() == VmPriority::Low)
+                        .map(|vm| (vm.id().0, si)),
+                );
+                seen.low = queue.len() - start;
+            }
+            population += seen.low as u64;
+        }
+        queue.extend(
+            self.distress
+                .iter()
+                .filter(|(_, st)| st.live())
+                .map(|(id, _)| (id.0, self.index[id])),
+        );
+        queue.sort_unstable();
+        queue.dedup();
+        population
+    }
+
+    /// Adds the low-priority guests of server `si` with ids above
+    /// `after` to the rest of the round (`queue[next..]`), keeping the
+    /// queue in VM order and free of duplicates.
+    fn enqueue_after(&self, queue: &mut Vec<(u64, usize)>, next: usize, si: usize, after: u64) {
+        let len = queue.len();
+        queue.extend(
+            self.servers[si]
+                .vms()
+                .filter(|vm| vm.priority() == VmPriority::Low && vm.id().0 > after)
+                .map(|vm| (vm.id().0, si)),
+        );
+        if queue.len() > len {
+            queue[next..].sort_unstable();
+            queue.dedup();
+        }
+    }
+
+    /// Audits the sampler's skip rule before a round: every low-priority
+    /// guest on a reachable server that `queue` leaves out must be
+    /// healthy by [`classify`] and hold a non-live distress state, or the
+    /// round would miss what a full scan sees (a guest whose state
+    /// changed without its server's version moving, say through the
+    /// shared handle `Vm::state()` hands out). Read-only. A violation
+    /// panics in debug builds and adds to `cluster.audit_violations` in
+    /// release builds; the key is only registered when one happens.
+    fn audit_skipped(&mut self, queue: &[(u64, usize)]) {
+        let thrash = self.cfg.distress.thrash_threshold;
+        let mut violations = 0u64;
+        for (si, s) in self.servers.iter().enumerate() {
+            if self.reach[si] == Reachability::Partitioned {
+                continue;
+            }
+            for vm in s.vms().filter(|vm| vm.priority() == VmPriority::Low) {
+                let id = vm.id();
+                if queue.binary_search(&(id.0, si)).is_ok() {
+                    continue;
+                }
+                let (hard, frac) = classify(s, id);
+                let live = self.distress.get(&id).is_some_and(VmDistress::live);
+                if hard || frac > thrash || live {
+                    debug_assert!(
+                        false,
+                        "distress sampler skipped {id} on server {si} \
+                         (hard {hard}, swapped {frac:.3}, live {live})"
+                    );
+                    violations += 1;
+                }
+            }
+        }
+        self.obs.metrics.add("cluster.audit_violations", violations);
     }
 
     /// The local controller's per-guest distress step, shared by both
@@ -1551,7 +1718,7 @@ impl ClusterManager {
     /// outlived the grace window. Kills and slowdowns go to `events`; a
     /// live guest still distressed after mitigation escalates to a
     /// rescue migration when the policy allows. Returns whether the
-    /// guest was distressed.
+    /// guest was distressed and where a rescue reserved.
     fn sample_vm(
         &mut self,
         now: SimTime,
@@ -1559,7 +1726,7 @@ impl ClusterManager {
         id: VmId,
         sink: &mut Sink<'_>,
         events: &mut Vec<DistressEvent>,
-    ) -> bool {
+    ) -> Sampled {
         let d = self.cfg.distress;
         let live = matches!(sink, Sink::Live);
         let (mut hard, mut frac) = classify(&self.servers[si], id);
@@ -1617,8 +1784,15 @@ impl ClusterManager {
         // Persist the breaker/streak state *before* any kill: the kill
         // drops the entry (and, live, the open-breaker gauge), which
         // must see this sample's state — a breaker opened and killed in
-        // the same sample would otherwise leak the gauge.
-        sink.distress(&mut self.distress).insert(id, st);
+        // the same sample would otherwise leak the gauge. A default
+        // state is dropped rather than stored.
+        let map = sink.distress(&mut self.distress);
+        if st == VmDistress::default() {
+            map.remove(&id);
+        } else {
+            map.insert(id, st);
+        }
+        let distressed = hard || soft;
         if kill {
             // Grace expired without rescue: the guest OOM killer fires
             // and the VM dies.
@@ -1627,7 +1801,10 @@ impl ClusterManager {
                 vm: id,
                 server: ServerId(si as u64),
             });
-            return true;
+            return Sampled {
+                distressed,
+                rescue_dst: None,
+            };
         }
         if soft {
             events.push(DistressEvent::Slowdown {
@@ -1638,17 +1815,23 @@ impl ClusterManager {
         // Same-server mitigation left the guest distressed but alive:
         // escalate to live migration when the policy allows (moving a
         // VM needs the manager, so only a reachable server can).
+        let mut rescue_dst = None;
         if live
-            && (hard || soft)
+            && distressed
             && !self.cfg.migration.is_none()
             && self.cfg.migration.distress_rescue
             && !self.migrations.contains_key(&id)
         {
-            if let Some(total) = self.begin_migration(now, id) {
+            let (dst, total) = self.try_migration(now, id);
+            rescue_dst = dst;
+            if let Some(total) = total {
                 events.push(DistressEvent::Migration { vm: id, total });
             }
         }
-        hard || soft
+        Sampled {
+            distressed,
+            rescue_dst,
+        }
     }
 
     /// Reports one breaker transition (`st.open` tells which way): the
@@ -1814,14 +1997,26 @@ impl ClusterManager {
     /// or `None` when migration is off, the VM is unknown or already
     /// moving, or no destination can take it.
     pub fn begin_migration(&mut self, now: SimTime, vm: VmId) -> Option<SimDuration> {
+        self.try_migration(now, vm).1
+    }
+
+    /// [`begin_migration`](Self::begin_migration), also naming the
+    /// destination it reserved on or tried to: a refused reservation
+    /// deflates and rolls back there, so that server's guests may have
+    /// changed either way.
+    fn try_migration(&mut self, now: SimTime, vm: VmId) -> (Option<usize>, Option<SimDuration>) {
         if self.cfg.migration.is_none() || self.migrations.contains_key(&vm) {
-            return None;
+            return (None, None);
         }
-        let si = *self.index.get(&vm)?;
-        let demand = self.servers[si].vm(vm)?.effective();
+        let Some(&si) = self.index.get(&vm) else {
+            return (None, None);
+        };
+        let Some(demand) = self.servers[si].vm(vm).map(Vm::effective) else {
+            return (None, None);
+        };
         let Some(di) = self.find_destination(&demand, si) else {
             self.obs.metrics.incr("cluster.migration_no_target");
-            return None;
+            return (None, None);
         };
         let before_dst = self.servers[di].aggregates();
         // Making room on the destination honors the circuit breaker:
@@ -1835,8 +2030,11 @@ impl ClusterManager {
             let (l, r) = self.servers.split_at_mut(si);
             (&mut r[0], &mut l[di])
         };
-        let mut sess =
-            MigrationSession::begin(now, src_ref, dst_ref, vm, self.cfg.migration.session)?;
+        let Some(mut sess) =
+            MigrationSession::begin(now, src_ref, dst_ref, vm, self.cfg.migration.session)
+        else {
+            return (None, None);
+        };
         let controller = self.controller;
         if !sess.reserve_shielded(&controller, &shielded) {
             sess.rollback();
@@ -1844,7 +2042,7 @@ impl ClusterManager {
             // VMs — versions bumped — so settle to refresh the index.
             self.settle(di, &before_dst);
             self.obs.metrics.incr("cluster.migration_no_target");
-            return None;
+            return (Some(di), None);
         }
         let parked = sess.park();
         let total = parked.plan.total;
@@ -1869,7 +2067,7 @@ impl ClusterManager {
                 rounds: parked.plan.rounds,
             });
         }
-        Some(total)
+        (Some(di), Some(total))
     }
 
     /// Completes an in-flight migration: moves the VM onto its reserved
@@ -2640,9 +2838,13 @@ impl ClusterManager {
         };
         if self.servers[si].is_up() {
             let mut sink = Sink::Local(&mut session);
-            for id in self.servers[si].low_priority_ids() {
+            let mut ids = std::mem::take(&mut self.scratch_ids);
+            ids.clear();
+            self.servers[si].low_priority_ids_into(&mut ids);
+            for &id in &ids {
                 self.sample_vm(now, si, id, &mut sink, &mut events);
             }
+            self.scratch_ids = ids;
             self.refresh_index(si);
         }
         self.partitions.insert(si, session);
@@ -2666,6 +2868,65 @@ mod tests {
 
         fn emergency_reinflate(&mut self, now: SimTime, si: usize, victim: VmId) {
             self.emergency_grant(now, si, victim, &mut Sink::Live);
+        }
+
+        /// The full scan the event-driven sampler replaces: every
+        /// low-priority guest on a reachable server, in VM order. The
+        /// differential tests run it on a twin manager as the oracle.
+        fn sample_distress_scan(&mut self, now: SimTime) -> Vec<DistressEvent> {
+            let d = self.cfg.distress;
+            if d.is_none() {
+                return Vec::new();
+            }
+            let mut vms: Vec<(u64, usize)> = self
+                .index
+                .iter()
+                .filter(|(id, si)| {
+                    !self.partitions.contains_key(*si)
+                        && self.servers[**si]
+                            .vm(**id)
+                            .is_some_and(|v| v.priority() == VmPriority::Low)
+                })
+                .map(|(id, si)| (id.0, *si))
+                .collect();
+            vms.sort_unstable();
+            let mut events = Vec::new();
+            let mut distressed = 0u64;
+            for &(raw, si) in &vms {
+                let sampled = self.sample_vm(now, si, VmId(raw), &mut Sink::Live, &mut events);
+                distressed += u64::from(sampled.distressed);
+            }
+            let secs = |n: u64| (n as f64 * d.sample_interval.as_secs_f64()) as u64;
+            let m = &mut self.obs.metrics;
+            m.add("distress.lowpri_sample_seconds", secs(vms.len() as u64));
+            m.add("cluster.distress_seconds", secs(distressed));
+            self.update_gauges(now);
+            events
+        }
+
+        /// Every non-default distress state, the manager's and the
+        /// parked ones, in VM order.
+        fn distress_states(&self) -> Vec<(u64, VmDistress)> {
+            let parked = self.partitions.values().flat_map(|s| s.distress.iter());
+            let mut states: Vec<(u64, VmDistress)> = self
+                .distress
+                .iter()
+                .chain(parked)
+                .filter(|(_, st)| **st != VmDistress::default())
+                .map(|(id, st)| (id.0, *st))
+                .collect();
+            states.sort_unstable_by_key(|(id, _)| *id);
+            states
+        }
+
+        /// Every hosted VM's effective allocation, in server then VM
+        /// order.
+        fn allocations(&self) -> Vec<(u64, ResourceVector)> {
+            self.servers
+                .iter()
+                .flat_map(|s| s.vms())
+                .map(|vm| (vm.id().0, vm.effective()))
+                .collect()
         }
     }
 
@@ -3315,10 +3576,10 @@ mod tests {
         let floor = 16_384.0 * m.cfg.usage_fraction; // 8192 MiB
                                                      // The donor's resident set shrinks well below its floor: lots of
                                                      // donatable headroom by the usage rule, little by the floor.
-        m.servers()[0].vm(VmId(1)).unwrap().set_usage(1_000.0, 1.0);
+        assert!(m.set_vm_usage(VmId(1), 1_000.0, 1.0));
         // The victim's resident set fills its spec; cutting it 9000 MiB
         // drives it deep into hard distress.
-        m.servers()[0].vm(VmId(0)).unwrap().set_usage(16_384.0, 2.0);
+        assert!(m.set_vm_usage(VmId(0), 16_384.0, 2.0));
         force_oom(&mut m, VmId(0), 9_000.0);
         // Soak up most of the freed pool so the rescue must harvest.
         let soak = VmRequest {
@@ -3923,5 +4184,404 @@ mod tests {
         assert!(!m.recover_server(SimTime::ZERO, ServerId(99)));
         assert!(!m.partition_server(SimTime::ZERO, ServerId(99)));
         assert!(m.heal_server(SimTime::ZERO, ServerId(99)).is_none());
+    }
+
+    /// A distress-sampled manager and its full-scan twin, stepped through
+    /// identical calls; every comparison below must hold bit for bit.
+    struct Twins {
+        fast: ClusterManager,
+        scan: ClusterManager,
+    }
+
+    impl Twins {
+        fn new(cfg: ClusterManagerConfig) -> Self {
+            Twins {
+                fast: ClusterManager::new(cfg.clone()),
+                scan: ClusterManager::new(cfg),
+            }
+        }
+
+        /// Runs `f` on both managers and insists they agree.
+        fn both<T: PartialEq + std::fmt::Debug>(
+            &mut self,
+            what: &str,
+            f: impl Fn(&mut ClusterManager) -> T,
+        ) -> T {
+            let (a, b) = (f(&mut self.fast), f(&mut self.scan));
+            assert_eq!(a, b, "{what}: event-driven and full-scan twins diverged");
+            a
+        }
+
+        /// One sampling round: the event-driven sampler on one twin, the
+        /// full scan on the other. Compares the events, the distress
+        /// maps (parked ones included), the allocations and the run
+        /// summaries.
+        fn sample(&mut self, now: SimTime) -> Vec<DistressEvent> {
+            let events = self.fast.sample_distress(now);
+            assert_eq!(
+                events,
+                self.scan.sample_distress_scan(now),
+                "{now}: distress events diverged"
+            );
+            assert_eq!(
+                self.fast.distress_states(),
+                self.scan.distress_states(),
+                "{now}: distress maps diverged"
+            );
+            assert_eq!(
+                self.fast.allocations(),
+                self.scan.allocations(),
+                "{now}: allocations diverged"
+            );
+            assert_eq!(
+                self.fast.run_summary(now, "twin").to_string(),
+                self.scan.run_summary(now, "twin").to_string(),
+                "{now}: run summaries diverged"
+            );
+            events
+        }
+    }
+
+    fn walk_request(id: u64, scale: f64, low: bool) -> VmRequest {
+        let spec = ResourceVector::new(4.0, 16_384.0, 100.0, 200.0).scale(scale);
+        VmRequest {
+            id: VmId(id),
+            arrival: SimTime::ZERO,
+            lifetime: SimDuration::from_hours(2),
+            spec,
+            type_name: "twin",
+            low_priority: low,
+            min_size: if low {
+                spec.scale(0.15)
+            } else {
+                ResourceVector::ZERO
+            },
+        }
+    }
+
+    /// One random walk over usage shocks, launches and exits,
+    /// partitions and heals, server crashes and recoveries, manager
+    /// crashes and recovery scans, rescue migrations, drains and
+    /// defragmentation, with a sampling round after every step.
+    fn differential_walk(seed: u64) {
+        use crate::distress::DistressConfig;
+        let mut rng = SimRng::seed_from_u64(seed);
+        let cascades = [
+            CascadeConfig::VM_LEVEL,
+            CascadeConfig::FULL,
+            CascadeConfig::HYPERVISOR_ONLY,
+        ];
+        let distress = DistressConfig {
+            enabled: true,
+            emergency_reinflate: rng.chance(0.7),
+            breaker_after: rng.index(4) as u32,
+            breaker_cooldown: 1 + rng.index(2) as u32,
+            working_set_floor: rng.chance(0.5),
+            floor_fraction: if rng.chance(0.5) { 0.9 } else { 0.0 },
+            grace_window: SimDuration::from_secs(if rng.chance(0.5) { 180 } else { 36_000 }),
+            ..DistressConfig::default()
+        };
+        let mut t = Twins::new(ClusterManagerConfig {
+            n_servers: 4,
+            server_capacity: ResourceVector::new(16.0, 32_768.0, 400.0, 800.0),
+            cascade: cascades[rng.index(cascades.len())],
+            distress,
+            migration: crate::migration::MigrationPolicy::enabled(),
+            seed,
+            ..ClusterManagerConfig::default()
+        });
+        let servers = t.fast.servers().len();
+        // (id, spec memory) of every launched VM; dead ones are pruned.
+        let mut live: Vec<(u64, f64)> = Vec::new();
+        let mut moving: Vec<(VmId, SimTime)> = Vec::new();
+        let mut next_id = 0u64;
+        for step in 1..=160u64 {
+            let now = SimTime::from_secs(step * 60);
+            let due;
+            (due, moving) = moving.into_iter().partition(|&(_, at)| now >= at);
+            for (vm, _) in due {
+                t.both("finish_migration", |m| m.finish_migration(now, vm));
+            }
+            let down = t.fast.manager_down();
+            let sid = ServerId(rng.index(servers) as u64);
+            let reach = t.fast.reachability(sid);
+            match rng.index(20) {
+                0..=5 if !down => {
+                    let (scale, low) = (rng.uniform_range(0.25, 1.0), rng.chance(0.8));
+                    let req = walk_request(next_id, scale, low);
+                    next_id += 1;
+                    if let LaunchOutcome::Placed { .. } = t.both("launch", |m| m.launch(now, &req))
+                    {
+                        live.push((req.id.0, req.spec.get(ResourceKind::Memory)));
+                    }
+                }
+                6..=8 if !live.is_empty() => {
+                    let (id, _) = live.swap_remove(rng.index(live.len()));
+                    let id = VmId(id);
+                    t.both("exit", |m| {
+                        if m.partitioned_host(id).is_some() {
+                            m.autonomous_exit(now, id)
+                        } else {
+                            m.exit(now, id).is_some()
+                        }
+                    });
+                }
+                9..=11 if !live.is_empty() => {
+                    let (id, mem) = live[rng.index(live.len())];
+                    let usage = mem * rng.uniform_range(0.3, 1.3);
+                    t.both("set_vm_usage", |m| m.set_vm_usage(VmId(id), usage, 1.0));
+                }
+                12 if !down && reach == Reachability::Up => {
+                    t.both("partition", |m| m.partition_server(now, sid));
+                }
+                13 if !down && reach == Reachability::Partitioned => {
+                    t.both("heal", |m| m.heal_server(now, sid));
+                }
+                14 if !down && reach == Reachability::Up => {
+                    t.both("fail_server", |m| m.fail_server(now, sid));
+                }
+                15 if !down && reach == Reachability::Down => {
+                    t.both("recover_server", |m| m.recover_server(now, sid));
+                }
+                16 if !down => {
+                    t.both("crash_manager", |m| m.crash_manager(now));
+                }
+                16 => {
+                    t.both("recover_manager", |m| m.recover_manager(now, &[]));
+                }
+                17 if !down => {
+                    let started = t.both("defrag", |m| m.defrag_round(now));
+                    moving.extend(started.into_iter().map(|(vm, span)| (vm, now + span)));
+                }
+                18 if !down && reach == Reachability::Up => {
+                    let started = t.both("drain", |m| m.drain_server(now, sid));
+                    moving.extend(started.into_iter().map(|(vm, span)| (vm, now + span)));
+                }
+                _ => {}
+            }
+            for sid in t.fast.partitioned_servers() {
+                t.both("autonomous_sample", |m| m.autonomous_sample(now, sid));
+            }
+            for ev in t.sample(now) {
+                if let DistressEvent::Migration { vm, total } = ev {
+                    moving.push((vm, now + total));
+                }
+            }
+            live.retain(|(id, _)| t.fast.is_running(VmId(*id)));
+        }
+        t.fast.assert_consistent();
+        t.scan.assert_consistent();
+    }
+
+    /// The event-driven sampler matches the full scan it replaces, round
+    /// for round, over random walks through every fault domain.
+    #[test]
+    fn event_driven_sampling_matches_the_full_scan() {
+        for seed in 1..=12u64 {
+            differential_walk(seed);
+        }
+    }
+
+    /// A live state is one a healthy sample would change; a closed
+    /// breaker's trip count and hold are not live.
+    #[test]
+    fn distress_liveness_covers_every_state_a_healthy_sample_resets() {
+        let quiet = VmDistress::default();
+        assert!(!quiet.live());
+        assert!(VmDistress {
+            open: true,
+            ..quiet
+        }
+        .live());
+        assert!(VmDistress {
+            consecutive: 1,
+            ..quiet
+        }
+        .live());
+        assert!(VmDistress {
+            hard_since: Some(SimTime::ZERO),
+            ..quiet
+        }
+        .live());
+        let closed = VmDistress {
+            trips: 2,
+            hold: 4,
+            ..quiet
+        };
+        assert!(!closed.live(), "a closed breaker's history is not live");
+    }
+
+    /// One server under a hypervisor-only cascade, so a donor's
+    /// deflation swaps blindly and can push it into soft distress.
+    fn grant_twins() -> Twins {
+        let d = crate::distress::DistressConfig {
+            enabled: true,
+            emergency_reinflate: true,
+            breaker_after: 1,
+            breaker_cooldown: 2,
+            grace_window: SimDuration::from_hours(10),
+            floor_fraction: 0.0,
+            ..crate::distress::DistressConfig::default()
+        };
+        Twins::new(ClusterManagerConfig {
+            cascade: CascadeConfig::HYPERVISOR_ONLY,
+            ..distress_cfg(d)
+        })
+    }
+
+    /// Sets up a grant from `donor` to `victim` that the donor's open
+    /// breaker blocks until it closes, then samples until the grant
+    /// goes through. Returns that round's events and its start time; the
+    /// round before it left the server's version unchanged, so the
+    /// server was clean when the round began.
+    fn blocked_grant_goes_through(
+        t: &mut Twins,
+        victim: VmId,
+        donor: VmId,
+    ) -> (SimTime, Vec<DistressEvent>) {
+        t.both("launch", |m| m.launch(SimTime::ZERO, &req(0, true)));
+        t.both("launch", |m| m.launch(SimTime::ZERO, &req(1, true)));
+        // The victim thrashes: its resident set is far above its
+        // deflated allocation.
+        t.both("set_vm_usage", |m| m.set_vm_usage(victim, 16_000.0, 1.0));
+        t.both("deflate", |m| force_oom(m, victim, 11_000.0));
+        // Soak the freed memory exactly, so no grant comes from the pool.
+        let hog = VmRequest {
+            id: VmId(9),
+            arrival: SimTime::ZERO,
+            lifetime: SimDuration::from_hours(1),
+            spec: ResourceVector::new(0.0, 11_000.0, 0.0, 0.0),
+            type_name: "hog",
+            low_priority: false,
+            min_size: ResourceVector::ZERO,
+        };
+        t.both("hog", |m| m.launch(SimTime::ZERO, &hog));
+        // The donor is out of memory, so it cannot give and its breaker
+        // opens; then it recovers, and the breaker shields it for two
+        // more healthy samples.
+        t.both("set_vm_usage", |m| m.set_vm_usage(donor, 20_000.0, 1.0));
+        t.sample(SimTime::from_secs(60));
+        assert!(t.fast.breaker_open(donor));
+        t.both("set_vm_usage", |m| m.set_vm_usage(donor, 6_000.0, 1.0));
+        for round in 2..=4u64 {
+            let now = SimTime::from_secs(60 * round);
+            let version = t.fast.servers()[0].version();
+            let events = t.sample(now);
+            if t.fast.servers()[0].version() > version {
+                assert!(round > 2, "the round after the usage change is dirty");
+                return (now, events);
+            }
+        }
+        panic!("the grant never went through");
+    }
+
+    fn slowed(events: &[DistressEvent], id: VmId) -> bool {
+        events
+            .iter()
+            .any(|e| matches!(e, DistressEvent::Slowdown { vm, .. } if *vm == id))
+    }
+
+    /// A grant to a lower-id victim pushes a higher-id donor into
+    /// distress on a server that was clean when the round began: the
+    /// donor is sampled later in the same round, as the scan does.
+    #[test]
+    fn grant_that_distresses_a_later_donor_samples_it_the_same_round() {
+        let mut t = grant_twins();
+        let (victim, donor) = (VmId(0), VmId(1));
+        let (_, events) = blocked_grant_goes_through(&mut t, victim, donor);
+        assert!(
+            slowed(&events, donor),
+            "the harvested donor thrashes this round: {events:?}"
+        );
+    }
+
+    /// A grant to a higher-id victim pushes a lower-id donor into
+    /// distress after the donor's turn: the server's version moved after
+    /// the round began, so the next round samples the donor.
+    #[test]
+    fn grant_that_distresses_an_earlier_donor_samples_it_next_round() {
+        let mut t = grant_twins();
+        let (victim, donor) = (VmId(1), VmId(0));
+        let (at, events) = blocked_grant_goes_through(&mut t, victim, donor);
+        assert!(
+            !slowed(&events, donor),
+            "the donor's turn came before the grant: {events:?}"
+        );
+        let events = t.sample(at + SimDuration::from_secs(60));
+        assert!(
+            slowed(&events, donor),
+            "the harvested donor thrashes next round: {events:?}"
+        );
+    }
+
+    /// A rescue migration reserves on a destination that was clean when
+    /// the round began, deflating a higher-id guest there into distress:
+    /// that guest is sampled in the same round.
+    #[test]
+    fn rescue_reservation_that_distresses_the_destination_samples_it_the_same_round() {
+        let d = crate::distress::DistressConfig {
+            grace_window: SimDuration::from_hours(10),
+            floor_fraction: 0.0,
+            ..crate::distress::DistressConfig::unguarded()
+        };
+        let mut t = Twins::new(ClusterManagerConfig {
+            n_servers: 2,
+            placement: PlacementPolicy::FirstFit,
+            cascade: CascadeConfig::HYPERVISOR_ONLY,
+            migration: crate::migration::MigrationPolicy::enabled(),
+            ..distress_cfg(d)
+        });
+        let request = |id: u64, spec: ResourceVector, low: bool, min: ResourceVector| VmRequest {
+            id: VmId(id),
+            arrival: SimTime::ZERO,
+            lifetime: SimDuration::from_hours(1),
+            spec,
+            type_name: "rescue",
+            low_priority: low,
+            min_size: min,
+        };
+        let guest = ResourceVector::new(2.0, 20_000.0, 50.0, 100.0);
+        // Server 0: the source guest (not deflatable) and a hog that
+        // fills its memory; server 1: the guest the reservation squeezes.
+        let (src, dst) = (VmId(0), VmId(1));
+        let launches = [
+            request(0, guest, true, guest),
+            request(
+                9,
+                ResourceVector::new(0.0, 12_768.0, 0.0, 0.0),
+                false,
+                ResourceVector::ZERO,
+            ),
+            request(1, guest, true, guest.scale(0.3)),
+        ];
+        for (r, want) in launches.iter().zip([0, 0, 1]) {
+            assert_eq!(
+                t.both("launch", |m| m.launch(SimTime::ZERO, r)),
+                LaunchOutcome::Placed {
+                    server: ServerId(want),
+                    preempted: Vec::new()
+                }
+            );
+        }
+        t.both("set_vm_usage", |m| m.set_vm_usage(dst, 15_000.0, 1.0));
+        assert!(t.sample(SimTime::from_secs(60)).is_empty());
+        // Only the source's server moves before the next round.
+        t.both("set_vm_usage", |m| m.set_vm_usage(src, 25_000.0, 1.0));
+        let version = t.fast.servers()[1].version();
+        let events = t.sample(SimTime::from_secs(120));
+        assert!(
+            t.fast.servers()[1].version() > version,
+            "reserved on server 1"
+        );
+        assert!(
+            matches!(
+                events.as_slice(),
+                [
+                    DistressEvent::Migration { vm: a, .. },
+                    DistressEvent::Slowdown { vm: b, .. },
+                ] if *a == src && *b == dst
+            ),
+            "rescue of {src}, then the squeezed {dst} thrashes: {events:?}"
+        );
     }
 }

@@ -5,7 +5,7 @@
 //! further — not by placement-driven reclamation and not by emergency
 //! donation.
 //!
-//! The walk drives distress through the public API only: `set_usage`
+//! The walk drives distress through the public API only: `set_vm_usage`
 //! shocks a guest's resident set past its visible memory (hard distress)
 //! or back down (recovery), and `sample_distress` runs the
 //! consequence/mitigation/guardrail loop the simulator runs on a timer.
@@ -48,9 +48,17 @@ fn eff_mem(m: &ClusterManager, id: VmId) -> Option<f64> {
         .find_map(|s| s.vm(id).map(|v| v.effective().get(Memory)))
 }
 
-/// One randomized walk. Panics on any invariant violation; returns the
-/// final run summary so determinism tests can compare whole runs.
-fn walk(seed: u64, emergency: bool, floor: bool, long_grace: bool, migrate: bool) -> String {
+/// One randomized walk of `steps` steps. Panics on any invariant
+/// violation; returns the final run summary so determinism tests can
+/// compare whole runs.
+fn walk(
+    seed: u64,
+    steps: u64,
+    emergency: bool,
+    floor: bool,
+    long_grace: bool,
+    migrate: bool,
+) -> String {
     let distress = DistressConfig {
         enabled: true,
         emergency_reinflate: emergency,
@@ -86,7 +94,7 @@ fn walk(seed: u64, emergency: bool, floor: bool, long_grace: bool, migrate: bool
     let mut next_id = 0u64;
     let mut end = SimTime::ZERO;
 
-    for step in 0..70u64 {
+    for step in 0..steps {
         let now = SimTime::from_secs(step * 90);
         end = now;
 
@@ -139,11 +147,7 @@ fn walk(seed: u64, emergency: bool, floor: bool, long_grace: bool, migrate: bool
                 if !lows.is_empty() {
                     let (id, spec_mem) = lows[rng.index(lows.len())];
                     let frac = rng.uniform_range(0.3, 1.3);
-                    for s in m.servers() {
-                        if let Some(vm) = s.vm(VmId(id)) {
-                            vm.set_usage(spec_mem * frac, 1.0);
-                        }
-                    }
+                    assert!(m.set_vm_usage(VmId(id), spec_mem * frac, 1.0));
                 }
             }
             // Distress sample: the events must agree with the stats, and
@@ -217,7 +221,7 @@ proptest! {
         seed in any::<u64>(),
         mode in 0u8..16,
     ) {
-        walk(seed, mode & 1 != 0, mode & 2 != 0, mode & 4 != 0, mode & 8 != 0);
+        walk(seed, 70, mode & 1 != 0, mode & 2 != 0, mode & 4 != 0, mode & 8 != 0);
     }
 }
 
@@ -227,13 +231,28 @@ proptest! {
 fn distress_walk_is_deterministic() {
     for seed in [1u64, 7, 42] {
         for migrate in [false, true] {
-            let a = walk(seed, true, true, false, migrate);
-            let b = walk(seed, true, true, false, migrate);
+            let a = walk(seed, 70, true, true, false, migrate);
+            let b = walk(seed, 70, true, true, false, migrate);
             assert_eq!(
                 a, b,
                 "seed {seed} migrate={migrate}: walk must be reproducible"
             );
         }
+    }
+}
+
+/// A walk long enough for a few hundred sampling rounds, past the
+/// release audit period: the sampler's skip audit runs (every round in
+/// debug builds, every 256th in release builds) and finds nothing, so
+/// `cluster.audit_violations` stays unregistered.
+#[test]
+fn long_walk_passes_the_sampler_audit() {
+    for migrate in [false, true] {
+        let summary = walk(11, 2_000, true, false, false, migrate);
+        assert!(
+            !summary.contains("cluster.audit_violations"),
+            "migrate={migrate}: the sampler skipped a distressed guest"
+        );
     }
 }
 
@@ -264,14 +283,14 @@ fn breaker_open_and_close_stay_symmetric() {
     ));
 
     // Two hard samples open the breaker.
-    m.servers()[0].vm(a).unwrap().set_usage(17_000.0, 1.0);
+    assert!(m.set_vm_usage(a, 17_000.0, 1.0));
     m.sample_distress(SimTime::from_secs(60));
     m.sample_distress(SimTime::from_secs(120));
     assert!(m.breaker_open(a));
     m.assert_consistent();
 
     // Recovery: one healthy sample (cooldown 1, first trip) closes it.
-    m.servers()[0].vm(a).unwrap().set_usage(2_000.0, 1.0);
+    assert!(m.set_vm_usage(a, 2_000.0, 1.0));
     m.sample_distress(SimTime::from_secs(180));
     assert!(!m.breaker_open(a), "healthy streak must close the breaker");
     m.assert_consistent();
@@ -313,7 +332,7 @@ fn breaker_shields_distressed_vm_from_placement_pressure() {
 
     // Shock VM 0 past its visible memory: hard distress, and after two
     // consecutive samples the breaker opens.
-    m.servers()[0].vm(a).unwrap().set_usage(17_000.0, 1.0);
+    assert!(m.set_vm_usage(a, 17_000.0, 1.0));
     m.sample_distress(SimTime::from_secs(60));
     m.sample_distress(SimTime::from_secs(120));
     assert!(

@@ -452,7 +452,7 @@ mod tests {
     fn commit_moves_vm_and_releases_hold() {
         let (mut src, mut dst) = pair();
         let ctl = LocalController::new(CascadeConfig::VM_LEVEL);
-        src.vm(VmId(0)).unwrap().set_usage(8_000.0, 1.0);
+        src.vm_mut(VmId(0)).unwrap().set_usage(8_000.0, 1.0);
         let mut sess = MigrationSession::begin(
             SimTime::ZERO,
             &mut src,

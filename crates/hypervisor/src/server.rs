@@ -148,10 +148,14 @@ pub struct PhysicalServer {
     /// (`x − 0` is exact in floating point).
     reserved: ResourceVector,
     /// Mutation counter, bumped by every operation that can change the
-    /// server's free/availability vectors or its up flag (`add_vm`,
-    /// `remove_vm`, `deflate_vm`, `reinflate_vm`, `set_up`). Caches such
-    /// as the cluster placement index compare this against their stored
-    /// value to skip refreshing untouched servers.
+    /// server's free/availability vectors, its up flag or a hosted
+    /// guest's state (`add_vm`, `remove_vm`, `deflate_vm`, `reinflate_vm`,
+    /// `set_up`, and `vm_mut`, the only way to change a guest's usage).
+    /// Caches such as the cluster placement index and the distress
+    /// sampler compare this against their stored value to skip untouched
+    /// servers. `Vm::state()` still hands out the shared guest state
+    /// without a bump, so a caller that mutates through it bypasses the
+    /// counter.
     version: u64,
 }
 
@@ -219,7 +223,8 @@ impl PhysicalServer {
     }
 
     /// The server's mutation counter (see the `version` field). Strictly
-    /// monotone: unchanged version ⇒ unchanged placement-relevant state.
+    /// monotone: unchanged version ⇒ unchanged placement-relevant state
+    /// and unchanged guest usage.
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -396,7 +401,8 @@ impl PhysicalServer {
         self.vms.get(&id)
     }
 
-    /// Looks up a VM mutably.
+    /// Looks up a VM mutably, bumping the version: the caller may change
+    /// the guest's usage, which caches keyed on the version must see.
     ///
     /// Mutations that change the VM's *effective allocation* must go
     /// through [`deflate_vm`](Self::deflate_vm) /
@@ -404,7 +410,9 @@ impl PhysicalServer {
     /// aggregates desync (debug builds catch this on the next mutation).
     /// Direct access is fine for usage/pinning updates.
     pub fn vm_mut(&mut self, id: VmId) -> Option<&mut Vm> {
-        self.vms.get_mut(&id)
+        let vm = self.vms.get_mut(&id)?;
+        self.version += 1;
+        Some(vm)
     }
 
     /// Recomputes the aggregates from scratch (O(VMs)); the oracle the
@@ -1274,6 +1282,18 @@ mod tests {
         s.set_connected(true);
         assert_eq!(s.version(), v1);
         assert!(s.fits(&vm_spec()));
+    }
+
+    #[test]
+    fn usage_change_through_vm_mut_bumps_the_version() {
+        let mut s = server_with_low_vms(2);
+        let v0 = s.version();
+        s.vm_mut(VmId(0)).unwrap().set_usage(12_000.0, 2.0);
+        assert!(s.version() > v0, "vm_mut must bump the version");
+        // A miss touches nothing.
+        let v1 = s.version();
+        assert!(s.vm_mut(VmId(99)).is_none());
+        assert_eq!(s.version(), v1);
     }
 
     #[test]

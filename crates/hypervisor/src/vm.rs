@@ -267,8 +267,11 @@ impl Vm {
         self.state.borrow().deflation_fraction().max_component()
     }
 
-    /// Convenience: set application usage on the shared state.
-    pub fn set_usage(&self, memory_mb: f64, busy_vcpus: f64) {
+    /// Convenience: set application usage on the shared state. Takes
+    /// `&mut self` so a hosted guest's usage can only change through
+    /// [`PhysicalServer::vm_mut`](crate::PhysicalServer::vm_mut), which
+    /// bumps the server's version.
+    pub fn set_usage(&mut self, memory_mb: f64, busy_vcpus: f64) {
         let mut st = self.state.borrow_mut();
         st.usage.memory_mb = memory_mb;
         st.usage.busy_vcpus = busy_vcpus;
