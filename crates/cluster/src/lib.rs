@@ -51,7 +51,7 @@ pub use manager::{
 pub use migration::MigrationPolicy;
 pub use partition::{DivergenceEvent, DivergenceLog, Reachability, ReconcileOutcome};
 pub use placement::{AvailabilityMode, PlacementPolicy};
-pub use placement_index::PlacementIndex;
+pub use placement_index::{FitListCounters, PlacementIndex};
 pub use predictor::{DemandPredictor, Ewma};
 pub use pricing::{revenue, Rates, Revenue, TransientPricing};
 pub use record::{ClusterRecord, MakeRoom};

@@ -1453,7 +1453,12 @@ impl ClusterManager {
             }
             Sink::Live => {
                 self.bill_departure(now, si, &vm, why);
-                let mid = self.settle(si, &before);
+                // The totals take the removal now, because
+                // `headroom_share` reads them; the index is refreshed
+                // once, after reinflation, since nothing queries it
+                // in between.
+                let mid = self.servers[si].aggregates();
+                self.apply_delta(&before, &mid);
                 if why == Departure::Exit && self.cfg.proactive_headroom {
                     to_reinflate = self.headroom_share(now, &freed);
                 }

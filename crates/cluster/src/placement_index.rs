@@ -8,19 +8,46 @@
 //! availability notion (free, deflation, preemption) the index keeps a
 //! **class table**: one row per distinct vector among the placeable
 //! servers, holding the vector, its norm and the ids of its
-//! members. A query scores one row per class instead of one per server.
-//! While a 3000-server fleet fills, its servers share fewer than ten
-//! distinct vectors. Saturated, they still share free vectors (about 940
-//! classes) but few deflation vectors (about 2200 classes), and a
+//! members. A query reads one entry per fitting class instead of one per
+//! server. While a 3000-server fleet fills, its servers share fewer than
+//! ten distinct vectors. Saturated, they still share free vectors (about
+//! 940 classes) but few deflation vectors (about 2200 classes), and a
 //! 200-server fleet busy with many VM sizes has one class per server.
+//!
+//! **Fit lists.** A class's vector never changes while the class exists,
+//! so for a given demand neither whether the class fits nor its BestFit
+//! score `(cos, norm)` can change either. Each class table therefore
+//! keeps up to eight fit lists, one per recently queried demand (keyed by
+//! the demand's bits): the slots of the classes that fit it, each with its
+//! score and its current row. A list changes only when a class is founded
+//! (tested against every listed demand and, if it fits, scored with the
+//! oracle's expression), when one is dissolved (swap-removed through a
+//! per-slot position array), or when a dissolve moves another class's
+//! row. Every query reads the list of its demand: over one replay of a
+//! 3000-server BestFit fleet that fills and saturates, a free-tier query
+//! read 59 entries on average where a sweep would test 377 classes, and
+//! a deflation-tier one 717 of 1,452. A demand with no list gets one
+//! built by one sweep over the rows, which costs what a query cost
+//! before the lists; it replaces the least recently used list when all
+//! eight are taken. Placement asks for catalog sizes, so a catalog of at
+//! most eight never evicts; migration destinations are asked for a
+//! deflated VM's current size, which rarely repeats, and those builds
+//! evict. Lists start empty and fill on first use, so building the index
+//! does no list work.
+//! [`fit_list_counters`](PlacementIndex::fit_list_counters) counts hits,
+//! builds, evictions and scores.
 //!
 //! Exactness: every query returns the server its scan oracle
 //! ([`choose_server_with`](crate::placement::choose_server_with),
 //! [`best_headroom_with`](crate::placement::best_headroom_with)) picks.
 //! Cached vectors are the bit-exact values the oracle recomputes from
-//! server state, cached norms are `norm()` of those vectors, and a row's
+//! server state, cached norms are `norm()` of those vectors, and a class's
 //! cosine is the oracle's expression (`dot / (|A| |D|)`, zero when the
-//! denominator is zero), so fits and scores agree bitwise.
+//! denominator is zero), so fits and scores agree bitwise. A fit list
+//! holds exactly the classes that fit its demand, because a class joins
+//! every list it fits when founded and leaves every list when dissolved;
+//! and its cached scores are the ones a sweep would compute, because
+//! neither the class's vector nor the demand can change in between.
 //!
 //! * **FirstFit** is the smallest member id over the fitting classes.
 //! * **Most headroom** is the largest norm over the fitting classes,
@@ -56,9 +83,10 @@
 //! [`PlacementIndex::refresh`] on the touched server afterwards.
 //! `refresh` is a no-op when the version is unchanged; otherwise it
 //! moves the server between classes (one hash lookup and one sorted
-//! insert per notion whose vector changed). Debug builds cross-check
-//! the whole index against recomputation from live server state on
-//! every launch/exit ([`PlacementIndex::assert_consistent`]).
+//! insert per notion whose vector changed, plus the fit-list updates of
+//! a founded or dissolved class). Debug builds cross-check the whole
+//! index, fit lists included, against recomputation from live server
+//! state on every launch/exit ([`PlacementIndex::assert_consistent`]).
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -80,6 +108,11 @@ const NO_CLASS: u32 = u32::MAX;
 /// The fuzz of [`better`]: cosines closer than this tie, and a tied
 /// candidate must exceed the best's norm by more than this to win.
 const FUZZ: f64 = 1e-9;
+/// Most demands a class table keeps a fit list for; a new demand evicts
+/// the least recently used list.
+const FIT_LISTS: usize = 8;
+/// Fit-list position sentinel: the slot's class is not on the list.
+const ABSENT: u32 = u32::MAX;
 
 /// Index of a cached availability notion in [`Cached::vecs`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,7 +180,7 @@ struct Slot {
     row: u32,
 }
 
-/// One notion's classes. Rows are dense, so a query sweeps contiguous
+/// One notion's classes. Rows are dense, so a build sweeps contiguous
 /// memory; slots are stable handles that servers keep while rows move.
 #[derive(Debug, Default)]
 struct ClassTable {
@@ -160,6 +193,10 @@ struct ClassTable {
     free: Vec<u32>,
     /// One row per class, in no particular order.
     rows: Vec<Row>,
+    /// The fitting classes of the demands queried most recently. Queries
+    /// take `&self` and reach them through the cell; class changes take
+    /// `&mut self` and reach them directly.
+    fit: RefCell<FitLists>,
 }
 
 impl ClassTable {
@@ -183,15 +220,18 @@ impl ClassTable {
                     (self.slots.len() - 1) as u32
                 });
                 e.insert(slot);
+                let r = self.rows.len() as u32;
                 let s = &mut self.slots[slot as usize];
                 s.members.push(id);
-                s.row = self.rows.len() as u32;
-                self.rows.push(Row {
+                s.row = r;
+                let row = Row {
                     vec: *vec,
                     norm: vec.norm(),
                     min: id,
                     slot,
-                });
+                };
+                self.fit.get_mut().found(&row, r);
+                self.rows.push(row);
                 slot
             }
         }
@@ -213,8 +253,11 @@ impl ClassTable {
         }
         self.slot_of.remove(&Key::of(&self.rows[row].vec));
         self.rows.swap_remove(row);
+        let fit = self.fit.get_mut();
+        fit.dissolve(slot);
         if let Some(moved) = self.rows.get(row) {
             self.slots[moved.slot as usize].row = row as u32;
+            fit.moved(moved.slot, row as u32);
         }
         self.free.push(slot);
     }
@@ -245,8 +288,9 @@ impl Cached {
     }
 }
 
-/// A fitting class during a BestFit query: its score and its row.
-#[derive(Debug, Clone, Copy, Default)]
+/// A fitting class on a fit list, and in a BestFit query: its score and
+/// its row.
+#[derive(Debug, Clone, Copy)]
 struct Cand {
     cos: f64,
     norm: f64,
@@ -262,6 +306,184 @@ fn fits(avail: &ResourceVector, demand: &ResourceVector) -> bool {
         .fold(true, |ok, &k| ok & (avail.get(k) + 1e-9 >= demand.get(k)));
     debug_assert_eq!(fit, avail.dominates(demand));
     fit
+}
+
+/// A class's BestFit cosine against `demand`, whose norm is `nd`: the
+/// oracle's `score` with both norms precomputed. Same expression, same
+/// inputs, same bits.
+#[inline]
+fn cosine(row: &Row, demand: &ResourceVector, nd: f64) -> f64 {
+    let denom = row.norm * nd;
+    let cos = if denom == 0.0 {
+        0.0
+    } else {
+        row.vec.dot(demand) / denom
+    };
+    debug_assert_eq!((cos, row.norm), score(&row.vec, demand));
+    cos
+}
+
+/// Work counters of the fit lists, summed over the class tables. Plain
+/// counts for tests and probes; the run summary does not carry them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FitListCounters {
+    /// Queries answered from an existing list.
+    pub hits: u64,
+    /// Lists built by a sweep because no list held the demand.
+    pub builds: u64,
+    /// Builds that evicted the least recently used list.
+    pub evictions: u64,
+    /// Founded classes that fit a listed demand and were scored onto its
+    /// list.
+    pub scored: u64,
+}
+
+/// The classes of one table that fit one demand, with their BestFit
+/// scores and current rows. Structure of arrays: entry `i` is `cands[i]`
+/// and `slots[i]`, in no particular order.
+#[derive(Debug)]
+struct FitList {
+    /// The demand's bits.
+    key: Key,
+    demand: ResourceVector,
+    /// `demand.norm()`.
+    nd: f64,
+    /// The table's query clock at this list's last query.
+    used: u64,
+    /// Each fitting class's score and row: what BestFit ranks.
+    cands: Vec<Cand>,
+    /// Each fitting class's slot.
+    slots: Vec<u32>,
+    /// Entry index by slot; [`ABSENT`], or past the end, for a slot whose
+    /// class is not on the list.
+    pos: Vec<u32>,
+}
+
+impl FitList {
+    fn new(demand: &ResourceVector) -> FitList {
+        FitList {
+            key: Key::of(demand),
+            demand: *demand,
+            nd: demand.norm(),
+            used: 0,
+            cands: Vec::new(),
+            slots: Vec::new(),
+            pos: Vec::new(),
+        }
+    }
+
+    /// Empties the list and rekeys it to `demand`, keeping its memory.
+    fn reset(&mut self, demand: &ResourceVector) {
+        for &s in &self.slots {
+            self.pos[s as usize] = ABSENT;
+        }
+        self.cands.clear();
+        self.slots.clear();
+        (self.key, self.demand, self.nd) = (Key::of(demand), *demand, demand.norm());
+    }
+
+    /// Where the class at `slot` sits on the list, if it is on it.
+    fn position(&self, slot: u32) -> Option<usize> {
+        match self.pos.get(slot as usize) {
+            Some(&p) if p != ABSENT => Some(p as usize),
+            _ => None,
+        }
+    }
+
+    /// Lists the class at `slot`, whose row is `row` at index `r`, when it
+    /// fits the demand; returns whether it did.
+    fn offer(&mut self, row: &Row, r: u32) -> bool {
+        if !fits(&row.vec, &self.demand) {
+            return false;
+        }
+        let s = row.slot as usize;
+        if self.pos.len() <= s {
+            self.pos.resize(s + 1, ABSENT);
+        }
+        self.pos[s] = self.cands.len() as u32;
+        self.cands.push(Cand {
+            cos: cosine(row, &self.demand, self.nd),
+            norm: row.norm,
+            row: r,
+        });
+        self.slots.push(row.slot);
+        true
+    }
+}
+
+/// A class table's fit lists: at most [`FIT_LISTS`], one per demand.
+#[derive(Debug, Default)]
+struct FitLists {
+    lists: Vec<FitList>,
+    /// Counts queries; a list's `used` is the count at its last query.
+    clock: u64,
+    counters: FitListCounters,
+}
+
+impl FitLists {
+    /// The list of `demand`. On a miss, one sweep over `rows` builds it,
+    /// in place of the least recently used list when all are taken.
+    fn get(&mut self, rows: &[Row], demand: &ResourceVector) -> &FitList {
+        self.clock += 1;
+        let key = Key::of(demand);
+        let i = match self.lists.iter().position(|l| l.key == key) {
+            Some(i) => {
+                self.counters.hits += 1;
+                i
+            }
+            None => {
+                self.counters.builds += 1;
+                let i = if self.lists.len() < FIT_LISTS {
+                    self.lists.push(FitList::new(demand));
+                    self.lists.len() - 1
+                } else {
+                    self.counters.evictions += 1;
+                    let lru = (0..FIT_LISTS).min_by_key(|&i| self.lists[i].used);
+                    let i = lru.expect("FIT_LISTS is not zero");
+                    self.lists[i].reset(demand);
+                    i
+                };
+                for (r, row) in rows.iter().enumerate() {
+                    self.lists[i].offer(row, r as u32);
+                }
+                i
+            }
+        };
+        let list = &mut self.lists[i];
+        list.used = self.clock;
+        list
+    }
+
+    /// A class was founded at row index `r`: list it where it fits.
+    fn found(&mut self, row: &Row, r: u32) {
+        for list in &mut self.lists {
+            self.counters.scored += u64::from(list.offer(row, r));
+        }
+    }
+
+    /// The class at `slot` was dissolved: take it off every list.
+    fn dissolve(&mut self, slot: u32) {
+        for list in &mut self.lists {
+            let Some(p) = list.position(slot) else {
+                continue;
+            };
+            list.pos[slot as usize] = ABSENT;
+            list.cands.swap_remove(p);
+            list.slots.swap_remove(p);
+            if let Some(&last) = list.slots.get(p) {
+                list.pos[last as usize] = p as u32;
+            }
+        }
+    }
+
+    /// The row of the class at `slot` moved to index `r`.
+    fn moved(&mut self, slot: u32, r: u32) {
+        for list in &mut self.lists {
+            if let Some(p) = list.position(slot) {
+                list.cands[p].row = r;
+            }
+        }
+    }
 }
 
 /// Moves the *top chain* of `set` to its front and returns its length
@@ -314,9 +536,8 @@ pub struct PlacementIndex {
     entries: Vec<Cached>,
     /// One class table per [`Notion`].
     tables: [ClassTable; NOTIONS],
-    /// BestFit's fitting classes, kept across queries so that a query
-    /// allocates nothing. As long as the longest class table queried so
-    /// far, so a query clears nothing.
+    /// BestFit's copy of a fit list, which its steps reorder; kept across
+    /// queries so that a query allocates nothing.
     cands: RefCell<Vec<Cand>>,
 }
 
@@ -402,11 +623,12 @@ impl PlacementIndex {
     /// Lowest-index server whose cached `notion` vector dominates
     /// `demand`: the smallest member over the fitting classes.
     fn first_fit(&self, notion: Notion, demand: &ResourceVector) -> Option<usize> {
-        self.tables[notion as usize]
-            .rows
+        let table = &self.tables[notion as usize];
+        let mut fit = table.fit.borrow_mut();
+        let list = fit.get(&table.rows, demand);
+        list.cands
             .iter()
-            .filter(|r| r.vec.dominates(demand))
-            .map(|r| r.min as usize)
+            .map(|c| table.rows[c.row as usize].min as usize)
             .min()
     }
 
@@ -415,35 +637,15 @@ impl PlacementIndex {
     /// module docs for why each step is exact).
     fn best_fit(&self, notion: Notion, demand: &ResourceVector) -> Option<usize> {
         let table = &self.tables[notion as usize];
-        let nd = demand.norm();
-        let mut cands = self.cands.borrow_mut();
-        if cands.len() < table.rows.len() {
-            cands.resize(table.rows.len(), Cand::default());
-        }
-        // Branch-free compaction: every row writes its index, and only a
-        // fitting one advances the cursor past it.
-        let mut len = 0;
-        for (r, row) in table.rows.iter().enumerate() {
-            cands[len].row = r as u32;
-            len += usize::from(fits(&row.vec, demand));
-        }
-        if len == 0 {
+        let mut fit = table.fit.borrow_mut();
+        let list = fit.get(&table.rows, demand);
+        if list.cands.is_empty() {
             return None;
         }
-        let cands = &mut cands[..len];
-        for c in cands.iter_mut() {
-            let row = &table.rows[c.row as usize];
-            // The oracle's `score` with the norm precomputed: same
-            // expression, same inputs, same bits.
-            let denom = row.norm * nd;
-            c.cos = if denom == 0.0 {
-                0.0
-            } else {
-                row.vec.dot(demand) / denom
-            };
-            c.norm = row.norm;
-            debug_assert_eq!((c.cos, c.norm), score(&row.vec, demand));
-        }
+        let mut cands = self.cands.borrow_mut();
+        cands.clear();
+        cands.extend_from_slice(&list.cands);
+        let cands = &mut cands[..];
         // Step 1, the tie set: cut where `better`'s cosine test stops calling
         // neighbours ties.
         let (k, hi, lo) = top_chain(cands, |c| c.cos, |hi, lo| hi - lo >= FUZZ);
@@ -489,8 +691,8 @@ impl PlacementIndex {
 
     /// Indexed [`choose_server_with`](crate::placement::choose_server_with):
     /// same policy semantics, same two-tier free-then-availability
-    /// preference, same RNG consumption, same chosen server — one row per
-    /// class instead of a fleet scan.
+    /// preference, same RNG consumption, same chosen server — one
+    /// fit-list entry per fitting class instead of a fleet scan.
     pub fn choose(
         &self,
         policy: PlacementPolicy,
@@ -539,10 +741,12 @@ impl PlacementIndex {
     /// Deterministic "most headroom" query for migration targeting: the
     /// up server (other than `exclude`, usually the migration source)
     /// whose cached Deflation-notion availability dominates `demand`,
-    /// ranked by that availability's norm. Unlike [`choose`], this draws
-    /// no RNG and prefers the *roomiest* host rather than the tightest
-    /// fit — a migration destination should absorb the VM with as little
-    /// donor deflation as possible. Ties keep the lowest server index.
+    /// ranked by that availability's norm and read from the demand's
+    /// deflation-notion fit list. Unlike [`choose`](Self::choose), this
+    /// draws no RNG and prefers the *roomiest* host rather than the
+    /// tightest fit — a migration destination should absorb the VM with
+    /// as little donor deflation as possible. Ties keep the lowest server
+    /// index.
     /// The naive oracle is
     /// [`best_headroom_with`](crate::placement::best_headroom_with).
     pub fn best_headroom(
@@ -553,11 +757,10 @@ impl PlacementIndex {
     ) -> Option<usize> {
         debug_assert_eq!(self.entries.len(), servers.len(), "index covers the fleet");
         let table = &self.tables[Notion::Deflation as usize];
+        let mut fit = table.fit.borrow_mut();
         let mut best: Option<(f64, u32)> = None;
-        for row in &table.rows {
-            if !row.vec.dominates(demand) {
-                continue;
-            }
+        for c in &fit.get(&table.rows, demand).cands {
+            let row = &table.rows[c.row as usize];
             // The class's lowest member other than the excluded server.
             let id = if Some(row.min as usize) == exclude {
                 match table.members(row).iter().rev().nth(1) {
@@ -576,11 +779,12 @@ impl PlacementIndex {
         best.map(|(_, id)| id as usize)
     }
 
-    /// Panics when any cached entry, class membership, class row or
-    /// cached norm disagrees with a full recomputation from live server
-    /// state — the index's analogue of the manager's aggregate checks.
-    /// O(servers); debug builds run it on every launch/exit, tests may
-    /// call it in release too.
+    /// Panics when any cached entry, class membership, class row, cached
+    /// norm or fit list disagrees with a full recomputation from live
+    /// server state — the index's analogue of the manager's aggregate
+    /// checks.
+    /// O(servers + classes × fit lists); debug builds run it on every
+    /// launch/exit, tests may call it in release too.
     pub fn assert_consistent(&self, servers: &[PhysicalServer]) {
         assert_eq!(
             self.entries.len(),
@@ -656,7 +860,75 @@ impl PlacementIndex {
                 total, up,
                 "class membership count != up servers (notion {n})"
             );
+            Self::assert_fit_lists(table, n);
         }
+    }
+
+    /// Panics when a fit list is not exactly its demand's fitting classes
+    /// with their scores' bits and current rows.
+    fn assert_fit_lists(table: &ClassTable, n: usize) {
+        let fit = table.fit.borrow();
+        assert!(
+            fit.lists.len() <= FIT_LISTS,
+            "too many fit lists (notion {n})"
+        );
+        for (l, list) in fit.lists.iter().enumerate() {
+            let d = &list.demand;
+            assert_eq!(list.key, Key::of(d), "fit list key desync (notion {n})");
+            assert_eq!(
+                list.nd.to_bits(),
+                d.norm().to_bits(),
+                "fit list demand norm desync (notion {n})"
+            );
+            assert!(
+                fit.lists[..l].iter().all(|o| o.key != list.key),
+                "two fit lists for {d:?} (notion {n})"
+            );
+            assert_eq!(list.cands.len(), list.slots.len(), "fit list arrays differ");
+            let fitting = table.rows.iter().filter(|r| r.vec.dominates(d)).count();
+            assert_eq!(
+                list.cands.len(),
+                fitting,
+                "fit list length != fitting classes for {d:?} (notion {n})"
+            );
+            // Entries name distinct live classes (a position per slot), each
+            // fitting, and as many as fit: they are the fitting set.
+            for (p, (c, &slot)) in list.cands.iter().zip(&list.slots).enumerate() {
+                assert_eq!(list.position(slot), Some(p), "fit list position desync");
+                let r = table.slots[slot as usize].row;
+                assert_eq!(c.row, r, "fit list row desync for {d:?} (notion {n})");
+                let row = &table.rows[r as usize];
+                assert_eq!(row.slot, slot, "dissolved class on a fit list (notion {n})");
+                assert!(
+                    row.vec.dominates(d),
+                    "unfit class on a fit list (notion {n})"
+                );
+                let (cos, norm) = score(&row.vec, d);
+                assert_eq!(
+                    (c.cos.to_bits(), c.norm.to_bits()),
+                    (cos.to_bits(), norm.to_bits()),
+                    "fit list score desync for {d:?} (notion {n})"
+                );
+            }
+            assert_eq!(
+                list.pos.iter().filter(|&&p| p != ABSENT).count(),
+                list.slots.len(),
+                "stale fit list positions (notion {n})"
+            );
+        }
+    }
+
+    /// The fit lists' work counters, summed over the class tables.
+    pub fn fit_list_counters(&self) -> FitListCounters {
+        self.tables.iter().fold(FitListCounters::default(), |a, t| {
+            let c = t.fit.borrow().counters;
+            FitListCounters {
+                hits: a.hits + c.hits,
+                builds: a.builds + c.builds,
+                evictions: a.evictions + c.evictions,
+                scored: a.scored + c.scored,
+            }
+        })
     }
 }
 

@@ -29,7 +29,7 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 use deflate_core::{ServerId, VmId};
 use simkit::{
     metrics::TimeWeightedGauge, parallel_map_workers, run_until, AdmissionOverflow, FaultInjector,
-    JsonValue, ManagerPlan, Scheduler, SimDuration, SimTime,
+    JsonValue, ManagerPlan, Scheduler, SeqHash, SimDuration, SimTime,
 };
 
 use crate::distress::{DistressConfig, DistressEvent};
@@ -297,12 +297,16 @@ struct SimCell {
     /// have arrivals injected by the epoch driver instead.
     source: Option<Source>,
     injector: Option<FaultInjector>,
-    live: HashMap<VmId, LiveVm>,
+    /// Running VMs' requests and departure instants, kept while faults
+    /// or distress may relaunch them. This map and `limbo` are only read,
+    /// inserted into and removed from, never iterated, so they hash ids
+    /// with [`SeqHash`] like the manager's VM maps.
+    live: HashMap<VmId, LiveVm, SeqHash>,
     /// VMs that died behind a partition (unobserved crash or autonomous
     /// OOM kill): the manager has no placement authority over a server
     /// it cannot reach, so the relaunch decision parks here until the
     /// heal, alongside the loss instant for restart-latency accounting.
-    limbo: HashMap<VmId, (LiveVm, SimTime)>,
+    limbo: HashMap<VmId, (LiveVm, SimTime), SeqHash>,
     /// Crash ordinal → server pinned at drain (warning) time.
     drained: HashMap<u64, ServerId>,
     /// The manager-crash domain of the fault plan (queue capacity,
@@ -442,8 +446,8 @@ impl SimCell {
             sched,
             source,
             injector,
-            live: HashMap::new(),
-            limbo: HashMap::new(),
+            live: HashMap::default(),
+            limbo: HashMap::default(),
             drained: HashMap::new(),
             mgr_plan,
             net_open: BTreeSet::new(),

@@ -371,3 +371,166 @@ fn breaker_shields_distressed_vm_from_placement_pressure() {
     );
     m.assert_consistent();
 }
+
+fn slowed(events: &[DistressEvent], id: VmId) -> bool {
+    events
+        .iter()
+        .any(|e| matches!(e, DistressEvent::Slowdown { vm, .. } if *vm == id))
+}
+
+/// Drives an emergency grant from `donor` to `victim` on one server that
+/// leaves the donor thrashing: the donor's breaker shields it until it
+/// closes, and the next time the victim asks, the donor gives more than
+/// a third of its memory. Returns the events of the round the donor gave
+/// in and of the round after. The skip audit would catch a sampler that
+/// misses the donor only in debug builds (release builds audit every
+/// 256th round), so callers check the events.
+fn harvest(donor: VmId, victim: VmId) -> (Vec<DistressEvent>, Vec<DistressEvent>) {
+    let distress = DistressConfig {
+        enabled: true,
+        emergency_reinflate: true,
+        breaker_after: 1,
+        breaker_cooldown: 2,
+        grace_window: SimDuration::from_hours(10),
+        floor_fraction: 0.0,
+        ..DistressConfig::default()
+    };
+    let mut m = ClusterManager::new(ClusterManagerConfig {
+        n_servers: 1,
+        server_capacity: capacity(),
+        cascade: CascadeConfig::HYPERVISOR_ONLY,
+        distress,
+        ..ClusterManagerConfig::default()
+    });
+    for id in [0, 1] {
+        assert!(matches!(
+            m.launch(SimTime::ZERO, &request(id, 1.0, true)),
+            LaunchOutcome::Placed { .. }
+        ));
+    }
+    // The donor runs out of memory for one round, which opens its
+    // breaker, and then shrinks to 4,000 MiB.
+    assert!(m.set_vm_usage(donor, 20_000.0, 1.0));
+    m.sample_distress(SimTime::from_secs(60));
+    assert!(m.breaker_open(donor));
+    assert!(m.set_vm_usage(donor, 4_000.0, 1.0));
+    // A high-priority arrival takes 11,000 MiB, all of it from the
+    // victim while the breaker shields the donor, and the victim's
+    // resident set outgrows what it has left.
+    let hog = VmRequest {
+        id: VmId(2),
+        arrival: SimTime::ZERO,
+        lifetime: SimDuration::from_hours(1),
+        spec: ResourceVector::new(0.0, 11_000.0, 0.0, 0.0),
+        type_name: "hog",
+        low_priority: false,
+        min_size: ResourceVector::ZERO,
+    };
+    assert!(matches!(
+        m.launch(SimTime::from_secs(60), &hog),
+        LaunchOutcome::Placed { .. }
+    ));
+    assert_eq!(
+        eff_mem(&m, donor),
+        Some(16_384.0),
+        "the breaker shields the donor"
+    );
+    assert!(m.set_vm_usage(victim, 16_000.0, 1.0));
+    for round in 2..=5u64 {
+        let events = m.sample_distress(SimTime::from_secs(60 * round));
+        if eff_mem(&m, donor) == Some(16_384.0) {
+            assert!(slowed(&events, victim), "the victim thrashes: {events:?}");
+            continue;
+        }
+        let next = m.sample_distress(SimTime::from_secs(60 * (round + 1)));
+        m.assert_consistent();
+        return (events, next);
+    }
+    panic!("the donor never gave the victim memory");
+}
+
+/// A grant to a higher-id guest harvests the donor after the donor's
+/// turn. Its server changed after the round began, so the next round
+/// samples the donor. A sampler that recorded server versions at the end
+/// of a round would skip it until something else touched the server.
+#[test]
+fn a_donor_harvested_after_its_turn_is_sampled_next_round() {
+    let (donor, victim) = (VmId(0), VmId(1));
+    let (round, next) = harvest(donor, victim);
+    assert!(
+        !slowed(&round, donor),
+        "the donor was healthy on its turn: {round:?}"
+    );
+    assert!(
+        slowed(&next, donor),
+        "the harvested donor thrashes the next round: {next:?}"
+    );
+}
+
+/// A grant to a lower-id guest harvests the donor before the donor's
+/// turn on a server that was clean when the round began: the sampler
+/// re-checks the server after the grant and samples the donor in the
+/// same round.
+#[test]
+fn a_donor_harvested_before_its_turn_is_sampled_the_same_round() {
+    let (donor, victim) = (VmId(1), VmId(0));
+    let (round, _) = harvest(donor, victim);
+    assert!(
+        slowed(&round, donor),
+        "the harvested donor thrashes this round: {round:?}"
+    );
+}
+
+/// A thrashing guest stays in the watch set while its distress streak
+/// runs, so it is sampled, and slowed, every round even though nothing
+/// touches its server between rounds.
+#[test]
+fn a_thrashing_guest_is_sampled_every_round_on_a_quiet_server() {
+    let distress = DistressConfig {
+        enabled: true,
+        breaker_after: 4,
+        grace_window: SimDuration::from_hours(10),
+        floor_fraction: 0.0,
+        ..DistressConfig::default()
+    };
+    let mut m = ClusterManager::new(ClusterManagerConfig {
+        n_servers: 1,
+        server_capacity: capacity(),
+        cascade: CascadeConfig::HYPERVISOR_ONLY,
+        distress,
+        ..ClusterManagerConfig::default()
+    });
+    let guest = VmId(0);
+    for id in [0, 1] {
+        assert!(matches!(
+            m.launch(SimTime::ZERO, &request(id, 1.0, true)),
+            LaunchOutcome::Placed { .. }
+        ));
+    }
+    let hog = VmRequest {
+        id: VmId(2),
+        arrival: SimTime::ZERO,
+        lifetime: SimDuration::from_hours(1),
+        spec: ResourceVector::new(0.0, 11_000.0, 0.0, 0.0),
+        type_name: "hog",
+        low_priority: false,
+        min_size: ResourceVector::ZERO,
+    };
+    assert!(matches!(
+        m.launch(SimTime::ZERO, &hog),
+        LaunchOutcome::Placed { .. }
+    ));
+    assert!(m.set_vm_usage(guest, 16_000.0, 1.0));
+    for round in 1..=3u64 {
+        let version = m.servers()[0].version();
+        let events = m.sample_distress(SimTime::from_secs(60 * round));
+        assert!(slowed(&events, guest), "round {round}: {events:?}");
+        assert!(!m.breaker_open(guest), "round {round}: the streak is short");
+        assert_eq!(
+            m.servers()[0].version(),
+            version,
+            "nothing touched the server"
+        );
+    }
+    m.assert_consistent();
+}

@@ -250,6 +250,158 @@ proptest! {
     }
 }
 
+/// Twelve demands, more than the eight a class table keeps fit lists
+/// for: scaled copies of the spec shape and four skewed shapes.
+fn many_demands() -> Vec<ResourceVector> {
+    let mut demands: Vec<ResourceVector> = (0..8).map(|k| spec(0.1 + 0.2 * k as f64)).collect();
+    demands.extend([
+        ResourceVector::new(0.5, 30_000.0, 10.0, 10.0),
+        ResourceVector::new(7.0, 1_024.0, 10.0, 10.0),
+        ResourceVector::new(1.0, 2_048.0, 190.0, 20.0),
+        ResourceVector::new(1.0, 2_048.0, 20.0, 390.0),
+    ]);
+    demands
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Queries for more distinct demands than a class table keeps fit
+    /// lists for, in random order, while servers move between classes:
+    /// lists are evicted and rebuilt, founded classes join live lists,
+    /// dissolved ones leave them, rows move under them and dissolved
+    /// slots are reused, and every answer still matches the oracles.
+    #[test]
+    fn fit_lists_under_eviction_match_the_oracles(
+        seed in any::<u64>(),
+        n_servers in 1usize..24,
+    ) {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let demands = many_demands();
+        let mut servers: Vec<PhysicalServer> = (0..n_servers)
+            .map(|i| PhysicalServer::new(ServerId(i as u64), capacity()))
+            .collect();
+        let mut index = PlacementIndex::new(&servers);
+        let cascade = CascadeConfig::VM_LEVEL;
+        let mut hosted: Vec<(usize, u64)> = Vec::new();
+        for step in 0..60u64 {
+            let si = rng.index(n_servers);
+            match rng.index(5) {
+                // Two VM sizes, so servers share classes and leave them.
+                0 | 1 => {
+                    let low = rng.chance(0.6);
+                    let pri = if low { VmPriority::Low } else { VmPriority::High };
+                    let s = spec([0.25, 0.5][rng.index(2)]);
+                    let min = if low { s.scale(0.3) } else { ResourceVector::ZERO };
+                    servers[si].add_vm(Vm::new(VmId(step), s, pri).with_min(min));
+                    hosted.push((si, step));
+                }
+                2 if !hosted.is_empty() => {
+                    let (owner, id) = hosted.swap_remove(rng.index(hosted.len()));
+                    prop_assert!(servers[owner].remove_vm(VmId(id)).is_some());
+                    index.refresh(owner, &servers[owner]);
+                }
+                3 if !hosted.is_empty() => {
+                    let (owner, id) = hosted[rng.index(hosted.len())];
+                    let target = spec(rng.uniform_range(0.05, 0.3));
+                    servers[owner].deflate_vm(SimTime::from_secs(step), VmId(id), &target, &cascade);
+                    index.refresh(owner, &servers[owner]);
+                }
+                _ => {
+                    let connected = servers[si].is_connected();
+                    servers[si].set_connected(!connected);
+                }
+            }
+            index.refresh(si, &servers[si]);
+            index.assert_consistent(&servers);
+            for _ in 0..3 {
+                let demand = demands[rng.index(demands.len())];
+                let exclude = rng.index(n_servers);
+                assert_queries_agree(&index, &servers, &demand, seed ^ step);
+                assert_destinations_agree(&index, &servers, &demand, exclude);
+            }
+        }
+        index.assert_consistent(&servers);
+        prop_assert!(index.fit_list_counters().evictions > 0, "no list was evicted");
+    }
+}
+
+/// A catalog-driven fleet asks for four demand sizes, so after four
+/// builds per class table every query reads a fit list: at least 99% of
+/// queries hit, and no list is evicted. The fleet is 3000 servers under
+/// BestFit at the Fig. 8c density, filling for eight hours and saturated
+/// for two, placed straight through the index and the local controller.
+#[test]
+fn a_catalog_driven_fleet_reads_its_fit_lists() {
+    use cluster::{TraceConfig, TraceGenerator};
+    use hypervisor::LocalController;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    let n = 3_000;
+    let capacity = cluster::ClusterManagerConfig::default().server_capacity;
+    let mut servers: Vec<PhysicalServer> = (0..n)
+        .map(|i| PhysicalServer::new(ServerId(i as u64), capacity))
+        .collect();
+    let mut index = PlacementIndex::new(&servers);
+    let requests = TraceGenerator::new(TraceConfig {
+        arrivals_per_hour: 2.8 * n as f64,
+        seed: 1,
+        ..TraceConfig::default()
+    })
+    .generate_until(SimTime::from_secs(10 * 3600));
+    let controller = LocalController::default();
+    let mut rng = SimRng::seed_from_u64(1);
+    let mut departures: BinaryHeap<Reverse<(SimTime, usize, u64)>> = BinaryHeap::new();
+    let (mut placed, mut deflating) = (0u64, 0u64);
+    for req in &requests {
+        while let Some(&Reverse((at, si, id))) = departures.peek() {
+            if at > req.arrival {
+                break;
+            }
+            departures.pop();
+            servers[si].remove_vm(VmId(id));
+            index.refresh(si, &servers[si]);
+        }
+        let Some(si) = index.choose(
+            PlacementPolicy::BestFit,
+            &servers,
+            &req.spec,
+            AvailabilityMode::Deflation,
+            &mut rng,
+        ) else {
+            continue;
+        };
+        if !servers[si].free().dominates(&req.spec) {
+            deflating += 1;
+            let session = controller.make_room(req.arrival, &mut servers[si], &req.spec);
+            if !session.satisfied() {
+                session.rollback();
+                continue;
+            }
+            session.commit();
+        }
+        let (pri, min) = if req.low_priority {
+            (VmPriority::Low, req.min_size)
+        } else {
+            (VmPriority::High, ResourceVector::ZERO)
+        };
+        servers[si].add_vm(Vm::new(req.id, req.spec, pri).with_min(min));
+        index.refresh(si, &servers[si]);
+        departures.push(Reverse((req.arrival + req.lifetime, si, req.id.0)));
+        placed += 1;
+    }
+    index.assert_consistent(&servers);
+    assert!(
+        placed > 50_000 && deflating > 1_000,
+        "{placed} placed, {deflating} by deflation"
+    );
+    let c = index.fit_list_counters();
+    let queries = c.hits + c.builds;
+    assert_eq!(c.evictions, 0, "{c:?}");
+    assert!(c.hits * 100 >= queries * 99, "{c:?}");
+}
+
 /// The manager's sampled release audit re-runs every 256th placement and
 /// destination query against its scan oracle and counts divergences in
 /// `cluster.audit_violations`. Over ten hours of a 3000-server BestFit

@@ -114,40 +114,39 @@ pub fn proportional_targets(demand: &ResourceVector, vms: &[VmDeflationState]) -
 /// Computes proportional *reinflation* amounts when `freed` resources
 /// become available on a server: each deflated VM gets back a share
 /// proportional to its deficit (`spec − current`), capped by that deficit.
+/// The shares replace `out`'s contents, one per VM in `vms` order, so a
+/// caller that keeps `out` across calls allocates nothing.
 ///
 /// This mirrors the paper's "Just as with deflation, we reinflate VMs
 /// proportionally."
 pub fn proportional_reinflation(
     freed: &ResourceVector,
     vms: &[(VmId, ResourceVector, ResourceVector)], // (id, current, spec)
-) -> Vec<(VmId, ResourceVector)> {
-    let mut out: Vec<(VmId, ResourceVector)> = vms
-        .iter()
-        .map(|(id, _, _)| (*id, ResourceVector::ZERO))
-        .collect();
+    out: &mut Vec<(VmId, ResourceVector)>,
+) {
+    out.clear();
+    out.extend(vms.iter().map(|(id, _, _)| (*id, ResourceVector::ZERO)));
     for kind in ResourceKind::ALL {
         let f = freed.get(kind);
         if f <= 0.0 {
             continue;
         }
-        let deficits: Vec<f64> = vms
-            .iter()
-            .map(|(_, cur, spec)| (spec.get(kind) - cur.get(kind)).max(0.0))
-            .collect();
-        let pool: f64 = deficits.iter().sum();
+        let deficit = |(_, cur, spec): &(VmId, ResourceVector, ResourceVector)| {
+            (spec.get(kind) - cur.get(kind)).max(0.0)
+        };
+        let pool: f64 = vms.iter().map(deficit).sum();
         if pool <= 0.0 {
             continue;
         }
         let beta = (f / pool).min(1.0);
-        for (i, deficit) in deficits.iter().enumerate() {
-            let x = deficit * beta;
+        for (vm, share) in vms.iter().zip(out.iter_mut()) {
+            let x = deficit(vm) * beta;
             if x > 0.0 {
-                let cur = out[i].1.get(kind);
-                out[i].1.set(kind, cur + x);
+                let cur = share.1.get(kind);
+                share.1.set(kind, cur + x);
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -242,7 +241,8 @@ mod tests {
             (VmId(1), ResourceVector::cpu(2.0), spec), // Deficit 2.
             (VmId(2), ResourceVector::cpu(3.0), spec), // Deficit 1.
         ];
-        let shares = proportional_reinflation(&ResourceVector::cpu(1.5), &vms);
+        let mut shares = Vec::new();
+        proportional_reinflation(&ResourceVector::cpu(1.5), &vms, &mut shares);
         assert!((shares[0].1.get(ResourceKind::Cpu) - 1.0).abs() < 1e-9);
         assert!((shares[1].1.get(ResourceKind::Cpu) - 0.5).abs() < 1e-9);
     }
@@ -251,7 +251,9 @@ mod tests {
     fn reinflation_capped_by_deficit() {
         let spec = ResourceVector::cpu(4.0);
         let vms = [(VmId(1), ResourceVector::cpu(3.0), spec)]; // Deficit 1.
-        let shares = proportional_reinflation(&ResourceVector::cpu(10.0), &vms);
+        let mut shares = vec![(VmId(9), spec)];
+        proportional_reinflation(&ResourceVector::cpu(10.0), &vms, &mut shares);
+        assert_eq!(shares.len(), 1, "earlier contents are replaced");
         assert!((shares[0].1.get(ResourceKind::Cpu) - 1.0).abs() < 1e-9);
     }
 
@@ -259,7 +261,8 @@ mod tests {
     fn reinflation_ignores_undeflated_vms() {
         let spec = ResourceVector::cpu(4.0);
         let vms = [(VmId(1), spec, spec)];
-        let shares = proportional_reinflation(&ResourceVector::cpu(2.0), &vms);
+        let mut shares = Vec::new();
+        proportional_reinflation(&ResourceVector::cpu(2.0), &vms, &mut shares);
         assert!(shares[0].1.is_zero());
     }
 }

@@ -35,6 +35,7 @@ impl ResourceKind {
     ];
 
     /// Canonical index of this dimension.
+    #[inline]
     pub const fn index(self) -> usize {
         match self {
             ResourceKind::Cpu => 0,
@@ -77,6 +78,7 @@ impl ResourceVector {
     pub const ZERO: ResourceVector = ResourceVector { dims: [0.0; 4] };
 
     /// Creates a vector from (cpu cores, memory MiB, disk MB/s, net MB/s).
+    #[inline]
     pub const fn new(cpu: f64, memory_mib: f64, disk_mbps: f64, net_mbps: f64) -> Self {
         ResourceVector {
             dims: [cpu, memory_mib, disk_mbps, net_mbps],
@@ -84,32 +86,38 @@ impl ResourceVector {
     }
 
     /// A vector with only the CPU dimension set.
+    #[inline]
     pub const fn cpu(cores: f64) -> Self {
         ResourceVector::new(cores, 0.0, 0.0, 0.0)
     }
 
     /// A vector with only the memory dimension set.
+    #[inline]
     pub const fn memory(mib: f64) -> Self {
         ResourceVector::new(0.0, mib, 0.0, 0.0)
     }
 
     /// Returns the value of one dimension.
+    #[inline]
     pub const fn get(&self, kind: ResourceKind) -> f64 {
         self.dims[kind.index()]
     }
 
     /// Sets one dimension (clamping at zero) and returns the new vector.
+    #[inline]
     pub fn with(mut self, kind: ResourceKind, value: f64) -> Self {
         self.dims[kind.index()] = value.max(0.0);
         self
     }
 
     /// Mutably sets one dimension, clamping at zero.
+    #[inline]
     pub fn set(&mut self, kind: ResourceKind, value: f64) {
         self.dims[kind.index()] = value.max(0.0);
     }
 
     /// Element-wise map.
+    #[inline]
     pub fn map(&self, mut f: impl FnMut(ResourceKind, f64) -> f64) -> Self {
         let mut out = *self;
         for kind in ResourceKind::ALL {
@@ -119,27 +127,32 @@ impl ResourceVector {
     }
 
     /// Element-wise minimum.
+    #[inline]
     pub fn min(&self, other: &ResourceVector) -> ResourceVector {
         self.map(|k, v| v.min(other.get(k)))
     }
 
     /// Element-wise maximum.
+    #[inline]
     pub fn max(&self, other: &ResourceVector) -> ResourceVector {
         self.map(|k, v| v.max(other.get(k)))
     }
 
     /// Element-wise subtraction saturating at zero.
+    #[inline]
     pub fn saturating_sub(&self, other: &ResourceVector) -> ResourceVector {
         self.map(|k, v| (v - other.get(k)).max(0.0))
     }
 
     /// Scales every dimension by a non-negative factor.
+    #[inline]
     pub fn scale(&self, k: f64) -> ResourceVector {
         debug_assert!(k >= 0.0, "scale factor must be non-negative");
         self.map(|_, v| v * k)
     }
 
     /// Dot product.
+    #[inline]
     pub fn dot(&self, other: &ResourceVector) -> f64 {
         ResourceKind::ALL
             .iter()
@@ -148,6 +161,7 @@ impl ResourceVector {
     }
 
     /// Euclidean norm.
+    #[inline]
     pub fn norm(&self) -> f64 {
         self.dot(self).sqrt()
     }
@@ -156,6 +170,7 @@ impl ResourceVector {
     /// "fitness" (§5): `fitness(D, A) = A·D / (|A| |D|)`.
     ///
     /// Returns 0 when either vector is zero.
+    #[inline]
     pub fn cosine_similarity(&self, other: &ResourceVector) -> f64 {
         let denom = self.norm() * other.norm();
         if denom == 0.0 {
@@ -167,6 +182,7 @@ impl ResourceVector {
 
     /// Returns `true` when every dimension is ≥ the other's (allowing for
     /// floating-point slack of 1e-9).
+    #[inline]
     pub fn dominates(&self, other: &ResourceVector) -> bool {
         ResourceKind::ALL
             .iter()
@@ -174,11 +190,13 @@ impl ResourceVector {
     }
 
     /// Returns `true` when every dimension is (effectively) zero.
+    #[inline]
     pub fn is_zero(&self) -> bool {
         self.dims.iter().all(|v| v.abs() < 1e-9)
     }
 
     /// Sum of all dimensions — a crude "total size" used only for traces.
+    #[inline]
     pub fn total(&self) -> f64 {
         self.dims.iter().sum()
     }
@@ -186,6 +204,7 @@ impl ResourceVector {
     /// Element-wise fraction `self / whole`, with 0/0 treated as 0 and
     /// results clamped to `[0, 1]`. Used to express "how deflated is this
     /// VM" relative to its specification.
+    #[inline]
     pub fn fraction_of(&self, whole: &ResourceVector) -> ResourceVector {
         self.map(|k, v| {
             let w = whole.get(k);
@@ -199,21 +218,25 @@ impl ResourceVector {
 
     /// The largest dimension value (e.g. the max deflation fraction across
     /// resources when applied to a fraction vector).
+    #[inline]
     pub fn max_component(&self) -> f64 {
         self.dims.iter().copied().fold(0.0, f64::max)
     }
 
     /// The mean of all dimension values.
+    #[inline]
     pub fn mean_component(&self) -> f64 {
         self.total() / 4.0
     }
 
     /// Clamps every dimension into `[lo, hi]` element-wise.
+    #[inline]
     pub fn clamp(&self, lo: &ResourceVector, hi: &ResourceVector) -> ResourceVector {
         self.map(|k, v| v.clamp(lo.get(k), hi.get(k)))
     }
 
     /// Approximate element-wise equality within `eps`.
+    #[inline]
     pub fn approx_eq(&self, other: &ResourceVector, eps: f64) -> bool {
         ResourceKind::ALL
             .iter()
@@ -223,12 +246,14 @@ impl ResourceVector {
 
 impl Add for ResourceVector {
     type Output = ResourceVector;
+    #[inline]
     fn add(self, rhs: ResourceVector) -> ResourceVector {
         self.map(|k, v| v + rhs.get(k))
     }
 }
 
 impl AddAssign for ResourceVector {
+    #[inline]
     fn add_assign(&mut self, rhs: ResourceVector) {
         *self = *self + rhs;
     }
@@ -236,6 +261,7 @@ impl AddAssign for ResourceVector {
 
 impl Sub for ResourceVector {
     type Output = ResourceVector;
+    #[inline]
     fn sub(self, rhs: ResourceVector) -> ResourceVector {
         let out = self.map(|k, v| v - rhs.get(k));
         debug_assert!(
@@ -247,6 +273,7 @@ impl Sub for ResourceVector {
 }
 
 impl SubAssign for ResourceVector {
+    #[inline]
     fn sub_assign(&mut self, rhs: ResourceVector) {
         *self = *self - rhs;
     }

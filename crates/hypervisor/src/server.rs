@@ -185,6 +185,7 @@ impl PhysicalServer {
     }
 
     /// Whether the machine is powered on (placement skips down servers).
+    #[inline]
     pub fn is_up(&self) -> bool {
         self.up
     }
@@ -200,6 +201,7 @@ impl PhysicalServer {
     }
 
     /// Whether the cluster manager can reach this machine.
+    #[inline]
     pub fn is_connected(&self) -> bool {
         self.connected
     }
@@ -218,6 +220,7 @@ impl PhysicalServer {
     /// reachable. Every placement path filters on this instead of
     /// [`is_up`](Self::is_up), so a partitioned server is excluded from
     /// placement without its capacity being released.
+    #[inline]
     pub fn placeable(&self) -> bool {
         self.up && self.connected
     }
@@ -225,27 +228,32 @@ impl PhysicalServer {
     /// The server's mutation counter (see the `version` field). Strictly
     /// monotone: unchanged version ⇒ unchanged placement-relevant state
     /// and unchanged guest usage.
+    #[inline]
     pub fn version(&self) -> u64 {
         self.version
     }
 
     /// The server's identifier.
+    #[inline]
     pub fn id(&self) -> ServerId {
         self.id
     }
 
     /// Total physical capacity.
+    #[inline]
     pub fn capacity(&self) -> ResourceVector {
         self.capacity
     }
 
     /// Sum of the *effective* allocations of all hosted VMs. O(1): reads
     /// the incrementally-maintained aggregate.
+    #[inline]
     pub fn committed(&self) -> ResourceVector {
         self.agg.committed
     }
 
     /// Free (uncommitted, unreserved) resources.
+    #[inline]
     pub fn free(&self) -> ResourceVector {
         self.capacity
             .saturating_sub(&self.agg.committed)
@@ -253,6 +261,7 @@ impl PhysicalServer {
     }
 
     /// Capacity currently held for in-flight migrations.
+    #[inline]
     pub fn reserved(&self) -> ResourceVector {
         self.reserved
     }
@@ -289,12 +298,14 @@ impl PhysicalServer {
     /// Resources still reclaimable from low-priority VMs by deflation.
     /// O(1); equals the per-VM sum because deflation never pushes a VM
     /// below its minimum size (debug builds verify both).
+    #[inline]
     pub fn deflatable(&self) -> ResourceVector {
         self.agg.low_effective.saturating_sub(&self.agg.low_min)
     }
 
     /// The paper's availability vector `A_j = Free_j + Deflatable_j`
     /// (Eq. 4), used by placement fitness.
+    #[inline]
     pub fn availability(&self) -> ResourceVector {
         self.free() + self.deflatable()
     }
@@ -302,6 +313,7 @@ impl PhysicalServer {
     /// Resources reclaimable by *preempting* low-priority VMs outright
     /// (their full effective allocations) — the availability notion of a
     /// preemption-only cluster manager.
+    #[inline]
     pub fn preemptible(&self) -> ResourceVector {
         self.agg.low_effective
     }
@@ -309,17 +321,20 @@ impl PhysicalServer {
     /// Snapshot of the cached aggregates (cheap copy); the cluster
     /// manager diffs snapshots around mutations to maintain cluster-wide
     /// running sums.
+    #[inline]
     pub fn aggregates(&self) -> ServerAggregates {
         self.agg
     }
 
     /// Whether a VM of the given spec could run here after deflation.
+    #[inline]
     pub fn fits(&self, spec: &ResourceVector) -> bool {
         self.placeable() && self.availability().dominates(spec)
     }
 
     /// Nominal overcommitment: `max(0, Σ spec / capacity − 1)` on the
     /// dominant dimension (Fig. 8d's y-axis). O(1).
+    #[inline]
     pub fn overcommitment(&self) -> f64 {
         let mut worst: f64 = 0.0;
         for k in deflate_core::ResourceKind::ALL {
@@ -599,6 +614,12 @@ thread_local! {
         const { std::cell::Cell::new(Vec::new()) };
     static PREEMPT_CANDIDATES: std::cell::Cell<Vec<(f64, VmId)>> =
         const { std::cell::Cell::new(Vec::new()) };
+    /// Reusable buffers for [`LocalController::reinflate`], which runs on
+    /// every VM exit: the deflatable VMs and their shares.
+    static REINFLATE_VMS: std::cell::Cell<Vec<(VmId, ResourceVector, ResourceVector)>> =
+        const { std::cell::Cell::new(Vec::new()) };
+    static REINFLATE_SHARES: std::cell::Cell<Vec<(VmId, ResourceVector)>> =
+        const { std::cell::Cell::new(Vec::new()) };
 }
 
 impl LocalController {
@@ -813,19 +834,25 @@ impl LocalController {
     /// session (and show up in the committed report's `reinflated`
     /// list), so a rollback takes them back.
     pub fn reinflate(&self, session: &mut ReclaimSession<'_>, freed: &ResourceVector) {
-        let vms: Vec<(VmId, ResourceVector, ResourceVector)> = session
-            .server()
-            .vms()
-            .filter(|vm| vm.deflatable())
-            .map(|vm| (vm.id(), vm.effective(), vm.spec()))
-            .collect();
-        let shares = proportional_reinflation(freed, &vms);
-        for (id, share) in shares {
+        let mut vms = REINFLATE_VMS.take();
+        let mut shares = REINFLATE_SHARES.take();
+        vms.clear();
+        vms.extend(
+            session
+                .server()
+                .vms()
+                .filter(|vm| vm.deflatable())
+                .map(|vm| (vm.id(), vm.effective(), vm.spec())),
+        );
+        proportional_reinflation(freed, &vms, &mut shares);
+        for &(id, share) in &shares {
             if share.is_zero() {
                 continue;
             }
             session.reinflate(id, &share).expect("VM exists");
         }
+        REINFLATE_VMS.set(vms);
+        REINFLATE_SHARES.set(shares);
     }
 }
 
