@@ -9,11 +9,8 @@
 //! maximum heap to the actual physical memory availability; the
 //! unmodified JVM keeps its configured heap and swaps.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use deflate_core::{ApplicationAgent, ReclaimResult, ResourceKind, ResourceVector};
-use hypervisor::guest::SharedVmState;
+use hypervisor::guest::VmState;
 use hypervisor::VmResourceView;
 use simkit::{SimDuration, SimTime};
 
@@ -56,16 +53,15 @@ impl Default for JvmParams {
     }
 }
 
+/// The JVM application model, and its own deflation agent (Table 1:
+/// trigger GC and lower the max heap so the resident set fits in the
+/// deflated memory; other resources are left to VM-level deflation, per
+/// the paper's policy).
 #[derive(Debug)]
-struct JvmShared {
-    heap_mb: f64,
-    gc_triggers: u64,
-}
-
-/// The JVM application model.
 pub struct JvmApp {
     params: JvmParams,
-    shared: Rc<RefCell<JvmShared>>,
+    heap_mb: f64,
+    gc_triggers: u64,
 }
 
 impl JvmApp {
@@ -73,10 +69,8 @@ impl JvmApp {
     pub fn new(params: JvmParams) -> Self {
         JvmApp {
             params,
-            shared: Rc::new(RefCell::new(JvmShared {
-                heap_mb: params.max_heap_mb,
-                gc_triggers: 0,
-            })),
+            heap_mb: params.max_heap_mb,
+            gc_triggers: 0,
         }
     }
 
@@ -87,12 +81,12 @@ impl JvmApp {
 
     /// Current maximum heap size (MiB).
     pub fn heap_mb(&self) -> f64 {
-        self.shared.borrow().heap_mb
+        self.heap_mb
     }
 
     /// Number of GC passes the agent has triggered.
     pub fn gc_triggers(&self) -> u64 {
-        self.shared.borrow().gc_triggers
+        self.gc_triggers
     }
 
     /// Smallest heap the agent will shrink to.
@@ -101,20 +95,23 @@ impl JvmApp {
     }
 
     /// Sets the VM's application usage to this JVM's RSS.
-    pub fn init_usage(&self, vm_state: &SharedVmState) {
-        let mut st = vm_state.borrow_mut();
-        st.usage.memory_mb = self.heap_mb() + self.params.overhead_mb;
+    pub fn init_usage(&self, st: &mut VmState) {
+        st.usage.memory_mb = self.heap_mb + self.params.overhead_mb;
         st.usage.busy_vcpus = self.params.needed_vcpus;
         st.recompute_swap();
     }
 
-    /// Builds the deflation agent (Table 1: trigger GC + reduce max heap).
-    pub fn agent(&self, vm_state: SharedVmState) -> JvmAgent {
-        JvmAgent {
-            params: self.params,
-            shared: Rc::clone(&self.shared),
-            vm: vm_state,
-        }
+    /// Keeps the VM's memory usage equal to the JVM's RSS.
+    fn sync_usage(&self, st: &mut VmState) {
+        st.usage.memory_mb = self.heap_mb + self.params.overhead_mb;
+        st.recompute_swap();
+    }
+
+    /// GC pass duration for shrinking by `freed` MiB: a full collection
+    /// plus copying costs proportional to the live set.
+    fn gc_latency(&self, freed: f64) -> SimDuration {
+        let base = SimDuration::from_millis(500);
+        base + SimDuration::from_secs_f64(freed / 8_000.0)
     }
 
     /// GC overhead factor (≥ 0) for a given heap size.
@@ -130,7 +127,7 @@ impl JvmApp {
         if view.oom {
             return f64::INFINITY;
         }
-        let heap = self.shared.borrow().heap_mb;
+        let heap = self.heap_mb;
         let gc = self.gc_overhead(heap);
 
         // Swap penalty: fraction of the heap that is host-swapped.
@@ -165,33 +162,13 @@ impl JvmApp {
     }
 }
 
-/// The deflation agent for JVMs: triggers GC and lowers the max heap so
-/// the resident set fits in the deflated memory (memory only; other
-/// resources are left to VM-level deflation, per the paper's policy).
-pub struct JvmAgent {
-    params: JvmParams,
-    shared: Rc<RefCell<JvmShared>>,
-    vm: SharedVmState,
-}
-
-impl JvmAgent {
-    fn sync_usage(&self) {
-        let heap = self.shared.borrow().heap_mb;
-        let mut st = self.vm.borrow_mut();
-        st.usage.memory_mb = heap + self.params.overhead_mb;
-        st.recompute_swap();
-    }
-
-    /// GC pass duration for shrinking by `freed` MiB: a full collection
-    /// plus copying costs proportional to the live set.
-    fn gc_latency(&self, freed: f64) -> SimDuration {
-        let base = SimDuration::from_millis(500);
-        base + SimDuration::from_secs_f64(freed / 8_000.0)
-    }
-}
-
-impl ApplicationAgent for JvmAgent {
-    fn self_deflate(&mut self, _now: SimTime, target: &ResourceVector) -> ReclaimResult {
+impl ApplicationAgent<VmState> for JvmApp {
+    fn self_deflate(
+        &mut self,
+        st: &mut VmState,
+        _now: SimTime,
+        target: &ResourceVector,
+    ) -> ReclaimResult {
         let want = target.get(ResourceKind::Memory);
         if want <= 0.0 {
             return ReclaimResult::NOTHING;
@@ -199,38 +176,31 @@ impl ApplicationAgent for JvmAgent {
         // The paper's policy: "set the max heap size to the actual
         // physical memory availability to avoid swapping". The agent only
         // shrinks when the post-deflation availability demands it.
-        let effective_mem = self.vm.borrow().effective_memory_mb();
+        let effective_mem = st.effective_memory_mb();
         let p = self.params;
         let min_heap = p.live_set_mb * p.min_heap_headroom;
         let future_available = (effective_mem - want).max(0.0);
         let desired = (future_available - p.overhead_mb).clamp(min_heap, p.max_heap_mb);
-        let freed = {
-            let mut sh = self.shared.borrow_mut();
-            let new_heap = desired.min(sh.heap_mb);
-            let freed = sh.heap_mb - new_heap;
-            if freed > 0.0 {
-                sh.heap_mb = new_heap;
-                sh.gc_triggers += 1;
-            }
-            freed
-        };
-        self.sync_usage();
+        let new_heap = desired.min(self.heap_mb);
+        let freed = self.heap_mb - new_heap;
+        if freed > 0.0 {
+            self.heap_mb = new_heap;
+            self.gc_triggers += 1;
+        }
+        self.sync_usage(st);
         if freed <= 0.0 {
             return ReclaimResult::NOTHING;
         }
         ReclaimResult::new(ResourceVector::memory(freed), self.gc_latency(freed))
     }
 
-    fn reinflate(&mut self, _now: SimTime, available: &ResourceVector) {
+    fn reinflate(&mut self, st: &mut VmState, _now: SimTime, available: &ResourceVector) {
         let extra = available.get(ResourceKind::Memory);
         if extra <= 0.0 {
             return;
         }
-        {
-            let mut sh = self.shared.borrow_mut();
-            sh.heap_mb = (sh.heap_mb + extra).min(self.params.max_heap_mb);
-        }
-        self.sync_usage();
+        self.heap_mb = (self.heap_mb + extra).min(self.params.max_heap_mb);
+        self.sync_usage(st);
     }
 
     fn name(&self) -> &str {
@@ -249,16 +219,9 @@ mod tests {
     }
 
     fn plain_vm(app: &JvmApp) -> Vm {
-        let vm = Vm::new(VmId(1), vm_spec(), VmPriority::Low);
-        app.init_usage(&vm.state());
+        let mut vm = Vm::new(VmId(1), vm_spec(), VmPriority::Low);
+        app.init_usage(vm.state_mut());
         vm
-    }
-
-    fn aware_vm(app: &JvmApp) -> Vm {
-        let vm = Vm::new(VmId(1), vm_spec(), VmPriority::Low);
-        app.init_usage(&vm.state());
-        let agent = app.agent(vm.state());
-        vm.with_agent(Box::new(agent))
     }
 
     #[test]
@@ -289,6 +252,7 @@ mod tests {
             SimTime::ZERO,
             &ResourceVector::memory(8_192.0),
             &CascadeConfig::VM_LEVEL,
+            None,
         );
         let rt = app.response_time_us(&vm.view());
         assert!(vm.view().swapped_mb > 4_000.0);
@@ -301,12 +265,17 @@ mod tests {
 
         let unmod = JvmApp::new(JvmParams::default());
         let mut vm_u = plain_vm(&unmod);
-        let _ = vm_u.deflate(SimTime::ZERO, &deflation, &CascadeConfig::VM_LEVEL);
+        let _ = vm_u.deflate(SimTime::ZERO, &deflation, &CascadeConfig::VM_LEVEL, None);
         let rt_u = unmod.response_time_us(&vm_u.view());
 
-        let aware = JvmApp::new(JvmParams::default());
-        let mut vm_a = aware_vm(&aware);
-        let _ = vm_a.deflate(SimTime::ZERO, &deflation, &CascadeConfig::FULL);
+        let mut aware = JvmApp::new(JvmParams::default());
+        let mut vm_a = plain_vm(&aware);
+        let _ = vm_a.deflate(
+            SimTime::ZERO,
+            &deflation,
+            &CascadeConfig::FULL,
+            Some(&mut aware),
+        );
         let rt_a = aware.response_time_us(&vm_a.view());
 
         assert!(
@@ -321,30 +290,38 @@ mod tests {
 
     #[test]
     fn agent_never_shrinks_below_live_headroom() {
-        let app = JvmApp::new(JvmParams::default());
-        let vm = Vm::new(VmId(1), vm_spec(), VmPriority::Low);
-        app.init_usage(&vm.state());
-        let mut agent = app.agent(vm.state());
-        agent.self_deflate(SimTime::ZERO, &ResourceVector::memory(1e9));
+        let mut app = JvmApp::new(JvmParams::default());
+        let mut vm = plain_vm(&app);
+        app.self_deflate(vm.state_mut(), SimTime::ZERO, &ResourceVector::memory(1e9));
         assert!((app.heap_mb() - app.min_heap_mb()).abs() < 1e-6);
         // A second request relinquishes nothing.
-        let r = agent.self_deflate(SimTime::ZERO, &ResourceVector::memory(1_000.0));
+        let r = app.self_deflate(
+            vm.state_mut(),
+            SimTime::ZERO,
+            &ResourceVector::memory(1_000.0),
+        );
         assert!(r.reclaimed.is_zero());
     }
 
     #[test]
     fn agent_reinflates_heap() {
-        let app = JvmApp::new(JvmParams::default());
-        let vm = Vm::new(VmId(1), vm_spec(), VmPriority::Low);
-        app.init_usage(&vm.state());
-        let mut agent = app.agent(vm.state());
+        let mut app = JvmApp::new(JvmParams::default());
+        let mut vm = plain_vm(&app);
         // 16384 effective − 8192 − 1024 overhead = 7168 target heap.
-        agent.self_deflate(SimTime::ZERO, &ResourceVector::memory(8_192.0));
+        app.self_deflate(
+            vm.state_mut(),
+            SimTime::ZERO,
+            &ResourceVector::memory(8_192.0),
+        );
         let shrunk = app.heap_mb();
         assert!((shrunk - 7_168.0).abs() < 1e-6);
-        agent.reinflate(SimTime::ZERO, &ResourceVector::memory(3_000.0));
+        app.reinflate(
+            vm.state_mut(),
+            SimTime::ZERO,
+            &ResourceVector::memory(3_000.0),
+        );
         assert!((app.heap_mb() - (shrunk + 3_000.0)).abs() < 1e-6);
-        agent.reinflate(SimTime::ZERO, &ResourceVector::memory(1e9));
+        app.reinflate(vm.state_mut(), SimTime::ZERO, &ResourceVector::memory(1e9));
         assert_eq!(app.heap_mb(), 12_288.0);
     }
 
@@ -352,11 +329,13 @@ mod tests {
     fn agent_ignores_requests_it_can_absorb() {
         // Mild deflation leaves plenty of availability: the agent keeps
         // its heap and lets the lower layers reclaim free memory.
-        let app = JvmApp::new(JvmParams::default());
-        let vm = Vm::new(VmId(1), vm_spec(), VmPriority::Low);
-        app.init_usage(&vm.state());
-        let mut agent = app.agent(vm.state());
-        let r = agent.self_deflate(SimTime::ZERO, &ResourceVector::memory(1_638.0));
+        let mut app = JvmApp::new(JvmParams::default());
+        let mut vm = plain_vm(&app);
+        let r = app.self_deflate(
+            vm.state_mut(),
+            SimTime::ZERO,
+            &ResourceVector::memory(1_638.0),
+        );
         assert!(r.reclaimed.is_zero());
         assert_eq!(app.heap_mb(), 12_288.0);
     }
@@ -382,8 +361,8 @@ mod tests {
     #[test]
     fn oom_is_infinite_response() {
         let app = JvmApp::new(JvmParams::default());
-        let vm = plain_vm(&app);
-        vm.state().borrow_mut().unplugged = ResourceVector::memory(14_000.0);
+        let mut vm = plain_vm(&app);
+        vm.state_mut().unplugged = ResourceVector::memory(14_000.0);
         assert!(app.response_time_us(&vm.view()).is_infinite());
         assert_eq!(app.normalized_perf(&vm.view()), 0.0);
     }

@@ -13,7 +13,7 @@
 //!   ~22 % worse than unplug at high deflation (§6.1).
 
 use deflate_core::ResourceKind;
-use hypervisor::guest::SharedVmState;
+use hypervisor::guest::VmState;
 use hypervisor::VmResourceView;
 use simkit::SimDuration;
 
@@ -58,8 +58,7 @@ impl KcompileApp {
     }
 
     /// Sets the VM's application usage.
-    pub fn init_usage(&self, vm_state: &SharedVmState) {
-        let mut st = vm_state.borrow_mut();
+    pub fn init_usage(&self, st: &mut VmState) {
         st.usage.memory_mb = self.params.memory_mb;
         st.usage.busy_vcpus = st.spec.get(ResourceKind::Cpu);
         st.recompute_swap();
@@ -117,8 +116,8 @@ mod tests {
 
     fn setup() -> (KcompileApp, Vm) {
         let app = KcompileApp::new(KcompileParams::default());
-        let vm = Vm::new(VmId(1), vm_spec(), VmPriority::Low);
-        app.init_usage(&vm.state());
+        let mut vm = Vm::new(VmId(1), vm_spec(), VmPriority::Low);
+        app.init_usage(vm.state_mut());
         (app, vm)
     }
 
@@ -137,6 +136,7 @@ mod tests {
             SimTime::ZERO,
             &ResourceVector::cpu(3.0),
             &CascadeConfig::OS_ONLY,
+            None,
         );
         let perf_os = app.normalized_perf(&vm_os.view());
 
@@ -146,6 +146,7 @@ mod tests {
             SimTime::ZERO,
             &ResourceVector::cpu(3.0),
             &CascadeConfig::HYPERVISOR_ONLY,
+            None,
         );
         let perf_hv = app2.normalized_perf(&vm_hv.view());
 
@@ -167,6 +168,7 @@ mod tests {
             SimTime::ZERO,
             &ResourceVector::cpu(2.0),
             &CascadeConfig::VM_LEVEL,
+            None,
         );
         let view = vm.view();
         assert_eq!(view.online_vcpus, 2);
@@ -181,6 +183,7 @@ mod tests {
             SimTime::ZERO,
             &ResourceVector::cpu(2.0),
             &CascadeConfig::OS_ONLY,
+            None,
         );
         let t = app.build_time(&vm.view());
         assert!(t > SimDuration::from_mins(30));
@@ -193,10 +196,11 @@ mod tests {
             memory_mb: 0.0,
             ..KcompileParams::default()
         });
-        let vm = Vm::new(VmId(1), vm_spec(), VmPriority::Low);
-        vm.state().borrow_mut().overcommitted = ResourceVector::memory(14_000.0);
-        vm.state().borrow_mut().usage.memory_mb = 2_000.0;
-        vm.state().borrow_mut().recompute_swap();
+        let mut vm = Vm::new(VmId(1), vm_spec(), VmPriority::Low);
+        let st = vm.state_mut();
+        st.overcommitted = ResourceVector::memory(14_000.0);
+        st.usage.memory_mb = 2_000.0;
+        st.recompute_swap();
         let perf = app.normalized_perf(&vm.view());
         assert!(!perf.is_nan());
         assert!(perf >= 0.0);
@@ -204,9 +208,10 @@ mod tests {
 
     #[test]
     fn swap_pressure_stalls_build() {
-        let (app, vm) = setup();
-        vm.state().borrow_mut().overcommitted = ResourceVector::memory(14_000.0);
-        vm.state().borrow_mut().recompute_swap();
+        let (app, mut vm) = setup();
+        let st = vm.state_mut();
+        st.overcommitted = ResourceVector::memory(14_000.0);
+        st.recompute_swap();
         let perf = app.normalized_perf(&vm.view());
         assert!(perf < 0.5, "perf {perf}");
     }

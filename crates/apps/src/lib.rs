@@ -13,8 +13,10 @@
 //!
 //! This crate models each application analytically — throughput or
 //! response time as a function of the VM's [`VmResourceView`] — and
-//! implements the Table 1 mechanisms as [`ApplicationAgent`]s
-//! that plug into cascade deflation. The models reproduce the performance
+//! each elastic application is its own [`ApplicationAgent`]: it
+//! implements its Table 1 mechanism over the VM state the cascade lends
+//! it, so `vm.deflate(now, &target, &cfg, Some(&mut app))` runs the
+//! application layer first. The models reproduce the performance
 //! effects the evaluation hinges on: swap-vs-eviction for memcached,
 //! GC-pressure-vs-swap for the JVM, and lock-holder preemption for CPU
 //! overcommitment.
@@ -27,15 +29,11 @@
 pub mod jvm;
 pub mod kcompile;
 pub mod memcached;
-pub mod mpi;
 pub mod utility;
-pub mod webcluster;
 pub mod webserver;
 
-pub use jvm::{JvmAgent, JvmApp, JvmParams};
+pub use jvm::{JvmApp, JvmParams};
 pub use kcompile::{KcompileApp, KcompileParams};
-pub use memcached::{MemcachedAgent, MemcachedApp, MemcachedParams};
-pub use mpi::{MpiApp, MpiParams};
+pub use memcached::{MemcachedApp, MemcachedParams};
 pub use utility::{lhp_penalty, UtilityCurve};
-pub use webcluster::{LbPolicy, WebCluster};
-pub use webserver::{WebServerAgent, WebServerApp, WebServerParams};
+pub use webserver::{WebServerApp, WebServerParams};

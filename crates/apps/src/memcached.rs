@@ -16,11 +16,8 @@
 //! the generalized-harmonic approximation so cluster-scale simulations
 //! need no per-app CDF tables.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use deflate_core::{ApplicationAgent, ReclaimResult, ResourceKind, ResourceVector};
-use hypervisor::guest::SharedVmState;
+use hypervisor::guest::VmState;
 use hypervisor::VmResourceView;
 use simkit::{SimDuration, SimTime};
 
@@ -96,16 +93,14 @@ impl Default for MemcachedParams {
     }
 }
 
+/// The memcached application model, and its own deflation agent
+/// (Table 1: LRU object eviction shrinks the cache for memory; other
+/// resources are left to VM-level deflation, paper §4).
 #[derive(Debug)]
-struct MemcachedShared {
-    cache_mb: f64,
-    evictions: u64,
-}
-
-/// The memcached application model.
 pub struct MemcachedApp {
     params: MemcachedParams,
-    shared: Rc<RefCell<MemcachedShared>>,
+    cache_mb: f64,
+    evictions: u64,
 }
 
 impl MemcachedApp {
@@ -114,10 +109,8 @@ impl MemcachedApp {
     pub fn new(params: MemcachedParams) -> Self {
         MemcachedApp {
             params,
-            shared: Rc::new(RefCell::new(MemcachedShared {
-                cache_mb: params.base_cache_mb,
-                evictions: 0,
-            })),
+            cache_mb: params.base_cache_mb,
+            evictions: 0,
         }
     }
 
@@ -128,32 +121,32 @@ impl MemcachedApp {
 
     /// Current cache size (MiB); shrinks when the agent deflates.
     pub fn cache_mb(&self) -> f64 {
-        self.shared.borrow().cache_mb
+        self.cache_mb
     }
 
     /// Cumulative LRU evictions performed by the deflation agent.
     pub fn evictions(&self) -> u64 {
-        self.shared.borrow().evictions
+        self.evictions
     }
 
     /// Sets the VM's application usage to this server's RSS. Call once
     /// after creating the VM (and the model keeps it in sync on agent
     /// actions).
-    pub fn init_usage(&self, vm_state: &SharedVmState) {
-        let mut st = vm_state.borrow_mut();
-        st.usage.memory_mb = self.cache_mb() + self.params.overhead_mb;
+    pub fn init_usage(&self, st: &mut VmState) {
+        st.usage.memory_mb = self.rss_mb();
         st.usage.busy_vcpus = self.params.needed_vcpus;
         st.recompute_swap();
     }
 
-    /// Builds the deflation agent (Table 1: LRU object eviction) bound to
-    /// the VM's shared state.
-    pub fn agent(&self, vm_state: SharedVmState) -> MemcachedAgent {
-        MemcachedAgent {
-            params: self.params,
-            shared: Rc::clone(&self.shared),
-            vm: vm_state,
-        }
+    /// The server's resident set (MiB): the cache plus process overhead.
+    pub fn rss_mb(&self) -> f64 {
+        self.cache_mb + self.params.overhead_mb
+    }
+
+    /// Keeps the VM's memory usage equal to the server's RSS.
+    fn sync_usage(&self, st: &mut VmState) {
+        st.usage.memory_mb = self.rss_mb();
+        st.recompute_swap();
     }
 
     /// Objects resident in a cache of `mb` MiB.
@@ -183,7 +176,7 @@ impl MemcachedApp {
             return 0.0;
         }
         let p = &self.params;
-        let cache = self.shared.borrow().cache_mb;
+        let cache = self.cache_mb;
 
         // How much of the cache is swap-resident.
         let swapped_cache = view.swapped_mb.min(cache);
@@ -236,25 +229,13 @@ impl MemcachedApp {
     }
 }
 
-/// The deflation agent for memcached: shrinks the cache with LRU eviction
-/// (memory), leaves other resources to VM-level deflation (paper §4).
-pub struct MemcachedAgent {
-    params: MemcachedParams,
-    shared: Rc<RefCell<MemcachedShared>>,
-    vm: SharedVmState,
-}
-
-impl MemcachedAgent {
-    fn sync_usage(&self) {
-        let cache = self.shared.borrow().cache_mb;
-        let mut st = self.vm.borrow_mut();
-        st.usage.memory_mb = cache + self.params.overhead_mb;
-        st.recompute_swap();
-    }
-}
-
-impl ApplicationAgent for MemcachedAgent {
-    fn self_deflate(&mut self, _now: SimTime, target: &ResourceVector) -> ReclaimResult {
+impl ApplicationAgent<VmState> for MemcachedApp {
+    fn self_deflate(
+        &mut self,
+        st: &mut VmState,
+        _now: SimTime,
+        target: &ResourceVector,
+    ) -> ReclaimResult {
         let want = target.get(ResourceKind::Memory);
         if want <= 0.0 {
             return ReclaimResult::NOTHING;
@@ -263,37 +244,30 @@ impl ApplicationAgent for MemcachedAgent {
         // based on the memory availability inside the VM" — the cache only
         // shrinks when the post-deflation availability demands it; free
         // guest memory is left for the OS layer to unplug.
-        let effective_mem = self.vm.borrow().effective_memory_mb();
+        let effective_mem = st.effective_memory_mb();
         let p = self.params;
         let future_available = (effective_mem - want).max(0.0);
         let desired = (future_available - p.overhead_mb).clamp(p.min_cache_mb, p.base_cache_mb);
-        let freed = {
-            let mut sh = self.shared.borrow_mut();
-            let new_cache = desired.min(sh.cache_mb);
-            let freed = sh.cache_mb - new_cache;
-            if freed > 0.0 {
-                sh.evictions += (freed * 1_024.0 / p.object_size_kb) as u64;
-                sh.cache_mb = new_cache;
-            }
-            freed
-        };
-        self.sync_usage();
+        let new_cache = desired.min(self.cache_mb);
+        let freed = self.cache_mb - new_cache;
+        if freed > 0.0 {
+            self.evictions += (freed * 1_024.0 / p.object_size_kb) as u64;
+            self.cache_mb = new_cache;
+        }
+        self.sync_usage(st);
         // LRU eviction walks the hash chains and frees slabs: fast, but
         // not free at tens of GB.
         let latency = SimDuration::from_secs_f64(freed / 5_000.0);
         ReclaimResult::new(ResourceVector::memory(freed), latency)
     }
 
-    fn reinflate(&mut self, _now: SimTime, available: &ResourceVector) {
+    fn reinflate(&mut self, st: &mut VmState, _now: SimTime, available: &ResourceVector) {
         let extra = available.get(ResourceKind::Memory);
         if extra <= 0.0 {
             return;
         }
-        {
-            let mut sh = self.shared.borrow_mut();
-            sh.cache_mb = (sh.cache_mb + extra).min(self.params.base_cache_mb);
-        }
-        self.sync_usage();
+        self.cache_mb = (self.cache_mb + extra).min(self.params.base_cache_mb);
+        self.sync_usage(st);
     }
 
     fn name(&self) -> &str {
@@ -312,16 +286,9 @@ mod tests {
     }
 
     fn setup(app: &MemcachedApp) -> Vm {
-        let vm = Vm::new(VmId(1), vm_spec(), VmPriority::Low);
-        app.init_usage(&vm.state());
+        let mut vm = Vm::new(VmId(1), vm_spec(), VmPriority::Low);
+        app.init_usage(vm.state_mut());
         vm
-    }
-
-    fn setup_with_agent(app: &MemcachedApp) -> Vm {
-        let vm = Vm::new(VmId(1), vm_spec(), VmPriority::Low);
-        app.init_usage(&vm.state());
-        let agent = app.agent(vm.state());
-        vm.with_agent(Box::new(agent))
     }
 
     #[test]
@@ -383,6 +350,7 @@ mod tests {
             SimTime::ZERO,
             &ResourceVector::memory(8_192.0),
             &CascadeConfig::HYPERVISOR_ONLY,
+            None,
         );
         let view = vm.view();
         assert!(view.swapped_mb > 3_000.0, "swapped {}", view.swapped_mb);
@@ -396,12 +364,17 @@ mod tests {
 
         let unmodified = MemcachedApp::new(MemcachedParams::default());
         let mut vm_u = setup(&unmodified);
-        let _ = vm_u.deflate(SimTime::ZERO, &deflation, &CascadeConfig::VM_LEVEL);
+        let _ = vm_u.deflate(SimTime::ZERO, &deflation, &CascadeConfig::VM_LEVEL, None);
         let t_u = unmodified.throughput_kgets(&vm_u.view());
 
-        let aware = MemcachedApp::new(MemcachedParams::default());
-        let mut vm_a = setup_with_agent(&aware);
-        let _ = vm_a.deflate(SimTime::ZERO, &deflation, &CascadeConfig::FULL);
+        let mut aware = MemcachedApp::new(MemcachedParams::default());
+        let mut vm_a = setup(&aware);
+        let _ = vm_a.deflate(
+            SimTime::ZERO,
+            &deflation,
+            &CascadeConfig::FULL,
+            Some(&mut aware),
+        );
         let t_a = aware.throughput_kgets(&vm_a.view());
 
         assert!(
@@ -419,11 +392,9 @@ mod tests {
 
     #[test]
     fn agent_respects_min_cache() {
-        let app = MemcachedApp::new(MemcachedParams::default());
-        let vm = Vm::new(VmId(1), vm_spec(), VmPriority::Low);
-        app.init_usage(&vm.state());
-        let mut agent = app.agent(vm.state());
-        let r = agent.self_deflate(SimTime::ZERO, &ResourceVector::memory(1e9));
+        let mut app = MemcachedApp::new(MemcachedParams::default());
+        let mut vm = setup(&app);
+        let r = app.self_deflate(vm.state_mut(), SimTime::ZERO, &ResourceVector::memory(1e9));
         let freed = r.reclaimed.get(ResourceKind::Memory);
         assert!((freed - (12_288.0 - 512.0)).abs() < 1e-6);
         assert_eq!(app.cache_mb(), 512.0);
@@ -431,14 +402,20 @@ mod tests {
 
     #[test]
     fn agent_reinflates_up_to_base() {
-        let app = MemcachedApp::new(MemcachedParams::default());
-        let vm = Vm::new(VmId(1), vm_spec(), VmPriority::Low);
-        app.init_usage(&vm.state());
-        let mut agent = app.agent(vm.state());
+        let mut app = MemcachedApp::new(MemcachedParams::default());
+        let mut vm = setup(&app);
         // Availability after losing 6 GiB: 16384 − 6000 − 1024 = 9360.
-        agent.self_deflate(SimTime::ZERO, &ResourceVector::memory(6_000.0));
+        app.self_deflate(
+            vm.state_mut(),
+            SimTime::ZERO,
+            &ResourceVector::memory(6_000.0),
+        );
         assert!((app.cache_mb() - 9_360.0).abs() < 1e-6);
-        agent.reinflate(SimTime::ZERO, &ResourceVector::memory(20_000.0));
+        app.reinflate(
+            vm.state_mut(),
+            SimTime::ZERO,
+            &ResourceVector::memory(20_000.0),
+        );
         assert_eq!(app.cache_mb(), 12_288.0);
     }
 
@@ -450,11 +427,13 @@ mod tests {
             base_cache_mb: 6_144.0,
             ..MemcachedParams::default()
         };
-        let app = MemcachedApp::new(params);
-        let vm = Vm::new(VmId(1), vm_spec(), VmPriority::Low);
-        app.init_usage(&vm.state());
-        let mut agent = app.agent(vm.state());
-        let r = agent.self_deflate(SimTime::ZERO, &ResourceVector::memory(2_048.0));
+        let mut app = MemcachedApp::new(params);
+        let mut vm = setup(&app);
+        let r = app.self_deflate(
+            vm.state_mut(),
+            SimTime::ZERO,
+            &ResourceVector::memory(2_048.0),
+        );
         assert!(r.reclaimed.is_zero());
         assert_eq!(app.cache_mb(), 6_144.0);
     }
@@ -462,9 +441,9 @@ mod tests {
     #[test]
     fn oom_means_zero_throughput() {
         let app = MemcachedApp::new(MemcachedParams::default());
-        let vm = setup(&app);
+        let mut vm = setup(&app);
         // Force the guest into OOM by unplugging far past free memory.
-        vm.state().borrow_mut().unplugged = ResourceVector::memory(14_000.0);
+        vm.state_mut().unplugged = ResourceVector::memory(14_000.0);
         let view = vm.view();
         assert!(view.oom);
         assert_eq!(app.throughput_kgets(&view), 0.0);
@@ -479,6 +458,7 @@ mod tests {
             SimTime::ZERO,
             &ResourceVector::cpu(3.0),
             &CascadeConfig::HYPERVISOR_ONLY,
+            None,
         );
         let t = app.throughput_kgets(&vm.view());
         assert!(t < base * 0.5, "CPU-starved memcached: {t} vs {base}");

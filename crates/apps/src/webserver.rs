@@ -8,11 +8,8 @@
 //! simple M/M/c-flavoured capacity model: throughput is linear in worker
 //! threads until the effective CPUs saturate.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use deflate_core::{ApplicationAgent, ReclaimResult, ResourceKind, ResourceVector};
-use hypervisor::guest::SharedVmState;
+use hypervisor::guest::VmState;
 use hypervisor::VmResourceView;
 use simkit::{SimDuration, SimTime};
 
@@ -48,15 +45,13 @@ impl Default for WebServerParams {
     }
 }
 
+/// The web server application model, and its own deflation agent
+/// (Table 1: shrink the worker pool to match the CPU reclamation target
+/// and relinquish the CPU it no longer needs).
 #[derive(Debug)]
-struct PoolShared {
-    threads: u32,
-}
-
-/// The web server application model.
 pub struct WebServerApp {
     params: WebServerParams,
-    shared: Rc<RefCell<PoolShared>>,
+    threads: u32,
 }
 
 impl WebServerApp {
@@ -64,9 +59,7 @@ impl WebServerApp {
     pub fn new(params: WebServerParams) -> Self {
         WebServerApp {
             params,
-            shared: Rc::new(RefCell::new(PoolShared {
-                threads: params.max_threads,
-            })),
+            threads: params.max_threads,
         }
     }
 
@@ -77,25 +70,17 @@ impl WebServerApp {
 
     /// Current worker-pool size.
     pub fn threads(&self) -> u32 {
-        self.shared.borrow().threads
+        self.threads
     }
 
-    /// Sets the VM's application usage.
-    pub fn init_usage(&self, vm_state: &SharedVmState) {
+    /// Sets the VM's application usage to the pool's footprint; the
+    /// agent keeps it in sync as the pool resizes.
+    pub fn init_usage(&self, st: &mut VmState) {
         let p = self.params;
-        let mut st = vm_state.borrow_mut();
-        st.usage.memory_mb = p.overhead_mb + f64::from(self.threads()) * p.thread_memory_mb;
-        st.usage.busy_vcpus = f64::from(self.threads()) / p.threads_per_vcpu;
+        let threads = f64::from(self.threads);
+        st.usage.memory_mb = p.overhead_mb + threads * p.thread_memory_mb;
+        st.usage.busy_vcpus = threads / p.threads_per_vcpu;
         st.recompute_swap();
-    }
-
-    /// Builds the deflation agent (Table 1: shrink the thread pool).
-    pub fn agent(&self, vm_state: SharedVmState) -> WebServerAgent {
-        WebServerAgent {
-            params: self.params,
-            shared: Rc::clone(&self.shared),
-            vm: vm_state,
-        }
     }
 
     /// Request throughput in thousands of requests/s under the view.
@@ -104,7 +89,7 @@ impl WebServerApp {
             return 0.0;
         }
         let p = &self.params;
-        let threads = f64::from(self.shared.borrow().threads);
+        let threads = f64::from(self.threads);
         let eff_cpu = view.effective.get(ResourceKind::Cpu);
         // Capacity is the lesser of pool size and what the CPUs sustain.
         let effective_threads = threads.min(eff_cpu * p.threads_per_vcpu);
@@ -131,44 +116,28 @@ impl WebServerApp {
     }
 }
 
-/// The deflation agent for web servers: shrinks the worker pool to match
-/// the CPU reclamation target and relinquishes the CPU it no longer needs.
-pub struct WebServerAgent {
-    params: WebServerParams,
-    shared: Rc<RefCell<PoolShared>>,
-    vm: SharedVmState,
-}
-
-impl WebServerAgent {
-    fn sync_usage(&self) {
-        let threads = f64::from(self.shared.borrow().threads);
-        let p = self.params;
-        let mut st = self.vm.borrow_mut();
-        st.usage.memory_mb = p.overhead_mb + threads * p.thread_memory_mb;
-        st.usage.busy_vcpus = threads / p.threads_per_vcpu;
-        st.recompute_swap();
-    }
-}
-
-impl ApplicationAgent for WebServerAgent {
-    fn self_deflate(&mut self, _now: SimTime, target: &ResourceVector) -> ReclaimResult {
+impl ApplicationAgent<VmState> for WebServerApp {
+    fn self_deflate(
+        &mut self,
+        st: &mut VmState,
+        _now: SimTime,
+        target: &ResourceVector,
+    ) -> ReclaimResult {
         let want_cpu = target.get(ResourceKind::Cpu);
         if want_cpu <= 0.0 {
             return ReclaimResult::NOTHING;
         }
         let p = self.params;
-        let (freed_cpu, freed_mem) = {
-            let mut sh = self.shared.borrow_mut();
-            let shrink_threads = (want_cpu * p.threads_per_vcpu).floor() as u32;
-            let new_threads = sh.threads.saturating_sub(shrink_threads).max(p.min_threads);
-            let dropped = sh.threads - new_threads;
-            sh.threads = new_threads;
-            (
-                f64::from(dropped) / p.threads_per_vcpu,
-                f64::from(dropped) * p.thread_memory_mb,
-            )
-        };
-        self.sync_usage();
+        let shrink_threads = (want_cpu * p.threads_per_vcpu).floor() as u32;
+        let new_threads = self
+            .threads
+            .saturating_sub(shrink_threads)
+            .max(p.min_threads);
+        let dropped = self.threads - new_threads;
+        self.threads = new_threads;
+        let freed_cpu = f64::from(dropped) / p.threads_per_vcpu;
+        let freed_mem = f64::from(dropped) * p.thread_memory_mb;
+        self.init_usage(st);
         if freed_cpu <= 0.0 {
             return ReclaimResult::NOTHING;
         }
@@ -177,18 +146,15 @@ impl ApplicationAgent for WebServerAgent {
         ReclaimResult::new(freed, SimDuration::from_millis(200))
     }
 
-    fn reinflate(&mut self, _now: SimTime, available: &ResourceVector) {
+    fn reinflate(&mut self, st: &mut VmState, _now: SimTime, available: &ResourceVector) {
         let extra_cpu = available.get(ResourceKind::Cpu);
         if extra_cpu <= 0.0 {
             return;
         }
-        {
-            let p = self.params;
-            let mut sh = self.shared.borrow_mut();
-            let add = (extra_cpu * p.threads_per_vcpu).floor() as u32;
-            sh.threads = (sh.threads + add).min(p.max_threads);
-        }
-        self.sync_usage();
+        let p = self.params;
+        let add = (extra_cpu * p.threads_per_vcpu).floor() as u32;
+        self.threads = (self.threads + add).min(p.max_threads);
+        self.init_usage(st);
     }
 
     fn name(&self) -> &str {
@@ -208,10 +174,9 @@ mod tests {
 
     fn setup_aware() -> (WebServerApp, Vm) {
         let app = WebServerApp::new(WebServerParams::default());
-        let vm = Vm::new(VmId(1), vm_spec(), VmPriority::Low);
-        app.init_usage(&vm.state());
-        let agent = app.agent(vm.state());
-        (app, vm.with_agent(Box::new(agent)))
+        let mut vm = Vm::new(VmId(1), vm_spec(), VmPriority::Low);
+        app.init_usage(vm.state_mut());
+        (app, vm)
     }
 
     #[test]
@@ -223,11 +188,12 @@ mod tests {
 
     #[test]
     fn agent_shrinks_pool_and_relinquishes_cpu() {
-        let (app, mut vm) = setup_aware();
+        let (mut app, mut vm) = setup_aware();
         let out = vm.deflate(
             SimTime::ZERO,
             &ResourceVector::cpu(2.0),
             &CascadeConfig::FULL,
+            Some(&mut app),
         );
         assert!(out.met_target());
         // Pool shrank by 2 vCPUs worth of threads.
@@ -242,22 +208,26 @@ mod tests {
 
     #[test]
     fn pool_never_below_min() {
-        let (app, vm) = setup_aware();
-        let mut agent = app.agent(vm.state());
-        agent.self_deflate(SimTime::ZERO, &ResourceVector::cpu(100.0));
+        let (mut app, mut vm) = setup_aware();
+        app.self_deflate(vm.state_mut(), SimTime::ZERO, &ResourceVector::cpu(100.0));
         assert_eq!(app.threads(), WebServerParams::default().min_threads);
     }
 
     #[test]
     fn reinflate_regrows_pool() {
-        let (app, mut vm) = setup_aware();
+        let (mut app, mut vm) = setup_aware();
         let _ = vm.deflate(
             SimTime::ZERO,
             &ResourceVector::cpu(2.0),
             &CascadeConfig::FULL,
+            Some(&mut app),
         );
         assert_eq!(app.threads(), 32);
-        vm.reinflate(SimTime::from_secs(10), &ResourceVector::cpu(2.0));
+        vm.reinflate(
+            SimTime::from_secs(10),
+            &ResourceVector::cpu(2.0),
+            Some(&mut app),
+        );
         assert_eq!(app.threads(), 64);
     }
 
@@ -267,8 +237,8 @@ mod tests {
             kreq_per_thread: 0.0,
             ..WebServerParams::default()
         });
-        let vm = Vm::new(VmId(1), vm_spec(), VmPriority::Low);
-        app.init_usage(&vm.state());
+        let mut vm = Vm::new(VmId(1), vm_spec(), VmPriority::Low);
+        app.init_usage(vm.state_mut());
         let perf = app.normalized_perf(&vm.view());
         assert!(!perf.is_nan());
         assert_eq!(perf, 0.0);
@@ -279,19 +249,21 @@ mod tests {
         // Without the agent, throttling multiplexes the pool's vCPUs.
         let app = WebServerApp::new(WebServerParams::default());
         let mut vm = Vm::new(VmId(1), vm_spec(), VmPriority::Low);
-        app.init_usage(&vm.state());
+        app.init_usage(vm.state_mut());
         let _ = vm.deflate(
             SimTime::ZERO,
             &ResourceVector::cpu(2.0),
             &CascadeConfig::HYPERVISOR_ONLY,
+            None,
         );
         let t_hv = app.throughput_kreq(&vm.view());
 
-        let (app2, mut vm2) = setup_aware();
+        let (mut app2, mut vm2) = setup_aware();
         let _ = vm2.deflate(
             SimTime::ZERO,
             &ResourceVector::cpu(2.0),
             &CascadeConfig::FULL,
+            Some(&mut app2),
         );
         let t_app = app2.throughput_kreq(&vm2.view());
         assert!(t_app > t_hv, "app {t_app} hv {t_hv}");

@@ -15,12 +15,15 @@ fn vm_spec() -> ResourceVector {
 fn bench_cascade(c: &mut Criterion) {
     c.bench_function("cascade/full_with_agent", |b| {
         b.iter(|| {
-            let app = MemcachedApp::new(MemcachedParams::default());
-            let vm = Vm::new(VmId(1), vm_spec(), VmPriority::Low);
-            app.init_usage(&vm.state());
-            let agent = app.agent(vm.state());
-            let mut vm = vm.with_agent(Box::new(agent));
-            let out = vm.deflate(SimTime::ZERO, &vm_spec().scale(0.5), &CascadeConfig::FULL);
+            let mut app = MemcachedApp::new(MemcachedParams::default());
+            let mut vm = Vm::new(VmId(1), vm_spec(), VmPriority::Low);
+            app.init_usage(vm.state_mut());
+            let out = vm.deflate(
+                SimTime::ZERO,
+                &vm_spec().scale(0.5),
+                &CascadeConfig::FULL,
+                Some(&mut app),
+            );
             black_box(out.total_reclaimed)
         })
     });
@@ -33,6 +36,7 @@ fn bench_cascade(c: &mut Criterion) {
                 SimTime::ZERO,
                 &vm_spec().scale(0.5),
                 &CascadeConfig::VM_LEVEL,
+                None,
             );
             black_box(out.total_reclaimed)
         })
@@ -43,8 +47,8 @@ fn bench_cascade(c: &mut Criterion) {
             let mut vm = Vm::new(VmId(1), vm_spec(), VmPriority::Low);
             vm.set_usage(4_096.0, 1.0);
             let target = vm_spec().scale(0.4);
-            let _ = vm.deflate(SimTime::ZERO, &target, &CascadeConfig::VM_LEVEL);
-            black_box(vm.reinflate(SimTime::from_secs(1), &target))
+            let _ = vm.deflate(SimTime::ZERO, &target, &CascadeConfig::VM_LEVEL, None);
+            black_box(vm.reinflate(SimTime::from_secs(1), &target, None))
         })
     });
 }

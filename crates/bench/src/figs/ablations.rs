@@ -92,7 +92,7 @@ pub fn deadline_sweep() -> Table {
         let mut vm = Vm::new(VmId(1), spec, VmPriority::Low);
         vm.set_usage(14_000.0, 3.0);
         let cfg = CascadeConfig::VM_LEVEL.with_deadline(SimDuration::from_secs(deadline_s));
-        let out = vm.deflate(SimTime::ZERO, &ResourceVector::memory(10_240.0), &cfg);
+        let out = vm.deflate(SimTime::ZERO, &ResourceVector::memory(10_240.0), &cfg, None);
         t.row(vec![
             deadline_s.to_string(),
             f1(out.total_reclaimed.get(deflate_core::ResourceKind::Memory)),
@@ -141,6 +141,7 @@ pub fn memory_mechanisms() -> Table {
             SimTime::ZERO,
             &ResourceVector::memory(10_240.0),
             &CascadeConfig::VM_LEVEL,
+            None,
         );
         let resized = vm.view().visible.get(deflate_core::ResourceKind::Memory) < 16_384.0;
         t.row(vec![

@@ -8,7 +8,8 @@
 
 use apps::utility::UtilityCurve;
 use apps::{JvmApp, JvmParams, KcompileApp, KcompileParams, MemcachedApp, MemcachedParams};
-use deflate_core::{CascadeConfig, ResourceVector, VmId};
+use deflate_core::{ApplicationAgent, CascadeConfig, ResourceVector, VmId};
+use hypervisor::guest::VmState;
 use hypervisor::{Vm, VmPriority};
 use simkit::SimTime;
 
@@ -18,26 +19,19 @@ fn vm_spec() -> ResourceVector {
     ResourceVector::new(4.0, 16_384.0, 200.0, 1_000.0)
 }
 
-/// Deflates a fresh VM by fraction `f` of every resource with the full
-/// cascade and returns it.
-fn deflated_vm(f: f64, agent_app: Option<&MemcachedApp>, jvm: Option<&JvmApp>) -> Vm {
-    let vm = Vm::new(VmId(1), vm_spec(), VmPriority::Low);
-    let mut vm = match (agent_app, jvm) {
-        (Some(app), _) => {
-            app.init_usage(&vm.state());
-            let agent = app.agent(vm.state());
-            vm.with_agent(Box::new(agent))
-        }
-        (_, Some(app)) => {
-            app.init_usage(&vm.state());
-            let agent = app.agent(vm.state());
-            vm.with_agent(Box::new(agent))
-        }
-        _ => vm,
-    };
-    let target = vm_spec().scale(f.min(0.99));
-    let _ = vm.deflate(SimTime::ZERO, &target, &CascadeConfig::FULL);
-    vm
+fn fresh_vm() -> Vm {
+    Vm::new(VmId(1), vm_spec(), VmPriority::Low)
+}
+
+/// Deflates `vm` by fraction `f` of every resource through `cfg`, with
+/// `app` (when given) as its deflation agent.
+fn deflate_by(
+    vm: &mut Vm,
+    f: f64,
+    cfg: &CascadeConfig,
+    app: Option<&mut dyn ApplicationAgent<VmState>>,
+) {
+    let _ = vm.deflate(SimTime::ZERO, &vm_spec().scale(f.min(0.99)), cfg, app);
 }
 
 /// Builds the Fig. 1 table.
@@ -58,28 +52,24 @@ pub fn run() -> Table {
         let f: f64 = step as f64 / 10.0;
 
         // SpecJBB: deflation-aware JVM.
-        let jvm = JvmApp::new(JvmParams::default());
-        let vm = deflated_vm(f, None, Some(&jvm));
+        let mut jvm = JvmApp::new(JvmParams::default());
+        let mut vm = fresh_vm();
+        jvm.init_usage(vm.state_mut());
+        deflate_by(&mut vm, f, &CascadeConfig::FULL, Some(&mut jvm));
         let specjbb = jvm.normalized_perf(&vm.view());
 
         // Kernel compile (no agent).
         let kc = KcompileApp::new(KcompileParams::default());
-        let vm = {
-            let vm = Vm::new(VmId(1), vm_spec(), VmPriority::Low);
-            kc.init_usage(&vm.state());
-            let mut vm = vm;
-            let _ = vm.deflate(
-                SimTime::ZERO,
-                &vm_spec().scale(f.min(0.99)),
-                &CascadeConfig::VM_LEVEL,
-            );
-            vm
-        };
+        let mut vm = fresh_vm();
+        kc.init_usage(vm.state_mut());
+        deflate_by(&mut vm, f, &CascadeConfig::VM_LEVEL, None);
         let kcompile = kc.normalized_perf(&vm.view());
 
         // memcached: deflation-aware cache.
-        let mc = MemcachedApp::new(MemcachedParams::default());
-        let vm = deflated_vm(f, Some(&mc), None);
+        let mut mc = MemcachedApp::new(MemcachedParams::default());
+        let mut vm = fresh_vm();
+        mc.init_usage(vm.state_mut());
+        deflate_by(&mut vm, f, &CascadeConfig::FULL, Some(&mut mc));
         let memcached = mc.normalized_perf(&vm.view());
 
         // Spark K-means: the calibrated Fig. 1 utility curve (K-means

@@ -72,9 +72,14 @@ pub fn fig5a() -> Table {
         for (cfg, force) in configs {
             let app = MemcachedApp::new(fig5a_params());
             let mut vm = fresh_vm(force);
-            app.init_usage(&vm.state());
+            app.init_usage(vm.state_mut());
             let base = app.throughput_kgets(&vm.view());
-            let _ = vm.deflate(SimTime::ZERO, &ResourceVector::memory(16_384.0 * f), cfg);
+            let _ = vm.deflate(
+                SimTime::ZERO,
+                &ResourceVector::memory(16_384.0 * f),
+                cfg,
+                None,
+            );
             let now = app.throughput_kgets(&vm.view());
             cells.push(f3(now / base));
         }
@@ -111,8 +116,8 @@ pub fn fig5b() -> Table {
         for cfg in configs {
             let app = KcompileApp::new(KcompileParams::default());
             let mut vm = fresh_vm(false);
-            app.init_usage(&vm.state());
-            let _ = vm.deflate(SimTime::ZERO, &ResourceVector::cpu(4.0 * f), cfg);
+            app.init_usage(vm.state_mut());
+            let _ = vm.deflate(SimTime::ZERO, &ResourceVector::cpu(4.0 * f), cfg, None);
             cells.push(f3(app.normalized_perf(&vm.view())));
         }
         t.row(cells);
@@ -138,16 +143,19 @@ pub fn fig5c() -> Table {
 
         let unmod = MemcachedApp::new(MemcachedParams::default());
         let mut vm_u = fresh_vm(false);
-        unmod.init_usage(&vm_u.state());
-        let _ = vm_u.deflate(SimTime::ZERO, &target, &CascadeConfig::VM_LEVEL);
+        unmod.init_usage(vm_u.state_mut());
+        let _ = vm_u.deflate(SimTime::ZERO, &target, &CascadeConfig::VM_LEVEL, None);
         let t_u = unmod.throughput_kgets(&vm_u.view());
 
-        let aware = MemcachedApp::new(MemcachedParams::default());
-        let vm_a = fresh_vm(false);
-        aware.init_usage(&vm_a.state());
-        let agent = aware.agent(vm_a.state());
-        let mut vm_a = vm_a.with_agent(Box::new(agent));
-        let _ = vm_a.deflate(SimTime::ZERO, &target, &CascadeConfig::FULL);
+        let mut aware = MemcachedApp::new(MemcachedParams::default());
+        let mut vm_a = fresh_vm(false);
+        aware.init_usage(vm_a.state_mut());
+        let _ = vm_a.deflate(
+            SimTime::ZERO,
+            &target,
+            &CascadeConfig::FULL,
+            Some(&mut aware),
+        );
         let t_a = aware.throughput_kgets(&vm_a.view());
 
         t.row(vec![pct(f), f1(t_u), f1(t_a)]);
@@ -170,16 +178,19 @@ pub fn fig5d() -> Table {
 
         let unmod = JvmApp::new(JvmParams::default());
         let mut vm_u = fresh_vm(false);
-        unmod.init_usage(&vm_u.state());
-        let _ = vm_u.deflate(SimTime::ZERO, &target, &CascadeConfig::VM_LEVEL);
+        unmod.init_usage(vm_u.state_mut());
+        let _ = vm_u.deflate(SimTime::ZERO, &target, &CascadeConfig::VM_LEVEL, None);
         let rt_u = unmod.response_time_us(&vm_u.view());
 
-        let aware = JvmApp::new(JvmParams::default());
-        let vm_a = fresh_vm(false);
-        aware.init_usage(&vm_a.state());
-        let agent = aware.agent(vm_a.state());
-        let mut vm_a = vm_a.with_agent(Box::new(agent));
-        let _ = vm_a.deflate(SimTime::ZERO, &target, &CascadeConfig::FULL);
+        let mut aware = JvmApp::new(JvmParams::default());
+        let mut vm_a = fresh_vm(false);
+        aware.init_usage(vm_a.state_mut());
+        let _ = vm_a.deflate(
+            SimTime::ZERO,
+            &target,
+            &CascadeConfig::FULL,
+            Some(&mut aware),
+        );
         let rt_a = aware.response_time_us(&vm_a.view());
 
         t.row(vec![pct(f), f1(rt_u), f1(rt_a)]);

@@ -61,8 +61,8 @@ pub fn fig8a() -> Table {
     // high-priority and full-size).
     let mc = MemcachedApp::new(MemcachedParams::default());
     let mc_norm = {
-        let vm = Vm::new(VmId(100), worker_spec, VmPriority::High);
-        mc.init_usage(&vm.state());
+        let mut vm = Vm::new(VmId(100), worker_spec, VmPriority::High);
+        mc.init_usage(vm.state_mut());
         mc.normalized_perf(&vm.view())
     };
 
@@ -113,16 +113,11 @@ pub fn fig8b() -> Table {
             CascadeConfig::VM_LEVEL,
             CascadeConfig::FULL,
         ] {
-            let app = MemcachedApp::new(mc_params);
-            let vm = Vm::new(VmId(1), spec, VmPriority::Low);
-            app.init_usage(&vm.state());
-            let mut vm = if cfg.use_app {
-                let agent = app.agent(vm.state());
-                vm.with_agent(Box::new(agent))
-            } else {
-                vm
-            };
-            let out = vm.deflate(SimTime::ZERO, &target, &cfg);
+            let mut app = MemcachedApp::new(mc_params);
+            let mut vm = Vm::new(VmId(1), spec, VmPriority::Low);
+            app.init_usage(vm.state_mut());
+            // The cascade asks the agent only when `cfg.use_app` is set.
+            let out = vm.deflate(SimTime::ZERO, &target, &cfg, Some(&mut app));
             cells.push(f1(out.latency.as_secs_f64()));
         }
         t.row(cells);

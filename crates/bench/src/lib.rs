@@ -82,7 +82,7 @@ const COUNTER_SECTIONS: [CounterSection; 4] = [
 ];
 
 /// The counters hoisted out of the cluster simulations one figure run
-/// did: every counter some [`COUNTER_SECTIONS`] row holds, summed per
+/// did: every counter some `COUNTER_SECTIONS` row holds, summed per
 /// key. A figure run returns them next to its tables, and
 /// [`run_summary`] prints them.
 #[derive(Debug, Clone, Default, PartialEq)]

@@ -30,7 +30,7 @@
 //! reports, with no persisted snapshot. Every fault domain is empty by
 //! default and byte-identical when off.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod distress;
 pub mod manager;

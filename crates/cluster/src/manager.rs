@@ -335,9 +335,7 @@ enum Departure {
 /// memory (hard), and the fraction of its resident set swapped out
 /// (soft distress above the thrash threshold).
 fn classify(server: &PhysicalServer, id: VmId) -> (bool, f64) {
-    let vm = server.vm(id).expect("sampled VM is hosted");
-    let state = vm.state();
-    let st = state.borrow();
+    let st = server.vm(id).expect("sampled VM is hosted").state();
     let frac = if st.usage.memory_mb > 0.0 {
         ((st.swapped_mb + st.blind_swapped_mb) / st.usage.memory_mb).clamp(0.0, 1.0)
     } else {
@@ -1581,17 +1579,23 @@ impl ClusterManager {
     ///
     /// The round is event-driven but matches a full scan of every such
     /// guest in VM order, event for event: a healthy guest whose distress
-    /// state is not [live](VmDistress::live) samples as a no-op, and its
-    /// guest state cannot change without its server's version moving.
-    /// So the round visits, in VM order, only the **watch set** (guests
+    /// state is not *live* (no open breaker, no consecutive distressed
+    /// samples, no running grace clock) samples as a no-op, and its
+    /// guest state cannot change without its server's version moving:
+    /// each `Vm` owns its state, and a hosted one is reachable mutably
+    /// only through the server's `&mut` methods, which bump the version,
+    /// so the compiler rules out an unbumped guest mutation. The round
+    /// therefore visits, in VM order, only the **watch set** (guests
     /// with a live state) and the guests of **dirty servers** (whose
     /// version moved since the previous round started). A sample that
     /// moves a server mid-round — an emergency grant deflating donors, an
     /// OOM kill reinflating survivors, a rescue reservation on a
     /// destination — adds that server's guests after the cursor to the
     /// round; those before it are sampled next round, as the server is
-    /// dirty then. An **audit** checks the skip rule against ground
-    /// truth (see [`audit_skipped`](Self::audit_skipped)).
+    /// dirty then. A read-only **audit** of the skip rule against ground
+    /// truth stays as a backstop for the sampler's own bookkeeping: it
+    /// runs every round in debug builds and every 256th in release
+    /// builds.
     pub fn sample_distress(&mut self, now: SimTime) -> Vec<DistressEvent> {
         let d = self.cfg.distress;
         if d.is_none() {
@@ -1684,9 +1688,9 @@ impl ClusterManager {
     /// Audits the sampler's skip rule before a round: every low-priority
     /// guest on a reachable server that `queue` leaves out must be
     /// healthy by [`classify`] and hold a non-live distress state, or the
-    /// round would miss what a full scan sees (a guest whose state
-    /// changed without its server's version moving, say through the
-    /// shared handle `Vm::state()` hands out). Read-only. A violation
+    /// round would miss what a full scan sees (say, a watch-set or
+    /// dirty-server bookkeeping slip; guest state itself cannot change
+    /// without a version bump). Read-only. A violation
     /// panics in debug builds and adds to `cluster.audit_violations` in
     /// release builds; the key is only registered when one happens.
     fn audit_skipped(&mut self, queue: &[(u64, usize)]) {
@@ -1883,7 +1887,7 @@ impl ClusterManager {
         let Some(vm) = self.servers[si].vm(victim) else {
             return;
         };
-        let usage = vm.state().borrow().usage.memory_mb;
+        let usage = vm.state().usage.memory_mb;
         let eff = vm.effective().get(Memory);
         let spec = vm.spec().get(Memory);
         let needed = (usage - eff).max(0.0).min((spec - eff).max(0.0));
@@ -1904,8 +1908,7 @@ impl ClusterManager {
                 })
                 .filter(|dv| !shield.get(&dv.id()).is_some_and(|s| s.open))
                 .filter_map(|dv| {
-                    let state = dv.state();
-                    let st = state.borrow();
+                    let st = dv.state();
                     if st.is_oom() {
                         return None;
                     }
@@ -3379,12 +3382,7 @@ mod tests {
         m.launch(SimTime::ZERO, &req(1, true));
         // Cut VM 0 well below its 8192 MiB resident set.
         force_oom(&mut m, VmId(0), 9_000.0);
-        assert!(m.servers()[0]
-            .vm(VmId(0))
-            .unwrap()
-            .state()
-            .borrow()
-            .is_oom());
+        assert!(m.servers()[0].vm(VmId(0)).unwrap().state().is_oom());
 
         // The grace clock starts at the first sample (60 s); the 180 s
         // window expires at the 240 s sample.
@@ -3436,21 +3434,16 @@ mod tests {
             m.launch(SimTime::ZERO, &hi),
             LaunchOutcome::Placed { .. }
         ));
-        assert!(m.servers()[0]
-            .vm(VmId(0))
-            .unwrap()
-            .state()
-            .borrow()
-            .is_oom());
+        assert!(m.servers()[0].vm(VmId(0)).unwrap().state().is_oom());
 
         // One guarded sample rescues: no kill, OOM cleared, donor intact.
         let evs = m.sample_distress(SimTime::from_secs(60));
         assert!(evs.is_empty(), "rescued, not killed or slowed: {evs:?}");
         let vm0 = m.servers()[0].vm(VmId(0)).unwrap();
-        assert!(!vm0.state().borrow().is_oom());
+        assert!(!vm0.state().is_oom());
         let vm1 = m.servers()[0].vm(VmId(1)).unwrap();
         let donor_eff = vm1.effective().get(ResourceKind::Memory);
-        let donor_usage = vm1.state().borrow().usage.memory_mb;
+        let donor_usage = vm1.state().usage.memory_mb;
         assert!(
             donor_eff >= donor_usage - 1.0,
             "donor squeezed below its own resident set: {donor_eff} < {donor_usage}"
@@ -3527,12 +3520,7 @@ mod tests {
             &ResourceVector::memory(900.0),
         );
         m.settle(0, &before);
-        assert!(!m.servers()[0]
-            .vm(VmId(0))
-            .unwrap()
-            .state()
-            .borrow()
-            .is_oom());
+        assert!(!m.servers()[0].vm(VmId(0)).unwrap().state().is_oom());
         m.sample_distress(SimTime::from_secs(180));
         assert!(m.breaker_open(VmId(0)), "one healthy sample of two");
         m.sample_distress(SimTime::from_secs(240));

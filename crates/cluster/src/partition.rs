@@ -148,7 +148,7 @@ const COMPACT_THRESHOLD: usize = 256;
 /// Long logs self-compact: redundant breaker open→close churn coalesces
 /// into [`DivergenceEvent::BreakerCycles`] and superseded
 /// reservation-clear entries drop, preserving replay semantics exactly
-/// (see [`replay_summary`](Self::replay_summary)).
+/// (see `replay_summary`).
 #[derive(Debug, Clone)]
 pub struct DivergenceLog {
     events: Vec<DivergenceEvent>,

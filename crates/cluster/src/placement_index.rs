@@ -30,10 +30,11 @@
 //! built by one sweep over the rows, which costs what a query cost
 //! before the lists; it replaces the least recently used list when all
 //! eight are taken. Placement asks for catalog sizes, so a catalog of at
-//! most eight never evicts; migration destinations are asked for a
-//! deflated VM's current size, which rarely repeats, and those builds
-//! evict. Lists start empty and fill on first use, so building the index
-//! does no list work.
+//! most eight never evicts. Migration destinations are asked for a
+//! deflated VM's current size, which rarely repeats, so a most-headroom
+//! query that finds no list answers by the sweep alone and builds none.
+//! Lists start empty and fill on first use, so building the index does
+//! no list work.
 //! [`fit_list_counters`](PlacementIndex::fit_list_counters) counts hits,
 //! builds, evictions and scores.
 //!
@@ -52,7 +53,7 @@
 //! * **FirstFit** is the smallest member id over the fitting classes.
 //! * **Most headroom** is the largest norm over the fitting classes,
 //!   ties to the smallest member id other than the excluded server.
-//! * **BestFit** needs care: [`better`](crate::placement::better) treats
+//! * **BestFit** needs care: `placement::better` treats
 //!   cosines within `1e-9` as ties broken by norm, which makes it
 //!   intransitive, so the oracle's winner depends on its ascending-id
 //!   scan order. Three steps reproduce that scan over classes.
@@ -421,35 +422,38 @@ struct FitLists {
 }
 
 impl FitLists {
+    /// The index of `demand`'s list, marked as used now, if one is kept.
+    fn hit(&mut self, demand: &ResourceVector) -> Option<usize> {
+        let key = Key::of(demand);
+        let i = self.lists.iter().position(|l| l.key == key)?;
+        self.counters.hits += 1;
+        self.clock += 1;
+        self.lists[i].used = self.clock;
+        Some(i)
+    }
+
     /// The list of `demand`. On a miss, one sweep over `rows` builds it,
     /// in place of the least recently used list when all are taken.
     fn get(&mut self, rows: &[Row], demand: &ResourceVector) -> &FitList {
+        if let Some(i) = self.hit(demand) {
+            return &self.lists[i];
+        }
+        self.counters.builds += 1;
         self.clock += 1;
-        let key = Key::of(demand);
-        let i = match self.lists.iter().position(|l| l.key == key) {
-            Some(i) => {
-                self.counters.hits += 1;
-                i
-            }
-            None => {
-                self.counters.builds += 1;
-                let i = if self.lists.len() < FIT_LISTS {
-                    self.lists.push(FitList::new(demand));
-                    self.lists.len() - 1
-                } else {
-                    self.counters.evictions += 1;
-                    let lru = (0..FIT_LISTS).min_by_key(|&i| self.lists[i].used);
-                    let i = lru.expect("FIT_LISTS is not zero");
-                    self.lists[i].reset(demand);
-                    i
-                };
-                for (r, row) in rows.iter().enumerate() {
-                    self.lists[i].offer(row, r as u32);
-                }
-                i
-            }
+        let i = if self.lists.len() < FIT_LISTS {
+            self.lists.push(FitList::new(demand));
+            self.lists.len() - 1
+        } else {
+            self.counters.evictions += 1;
+            let lru = (0..FIT_LISTS).min_by_key(|&i| self.lists[i].used);
+            let i = lru.expect("FIT_LISTS is not zero");
+            self.lists[i].reset(demand);
+            i
         };
         let list = &mut self.lists[i];
+        for (r, row) in rows.iter().enumerate() {
+            list.offer(row, r as u32);
+        }
         list.used = self.clock;
         list
     }
@@ -741,12 +745,17 @@ impl PlacementIndex {
     /// Deterministic "most headroom" query for migration targeting: the
     /// up server (other than `exclude`, usually the migration source)
     /// whose cached Deflation-notion availability dominates `demand`,
-    /// ranked by that availability's norm and read from the demand's
-    /// deflation-notion fit list. Unlike [`choose`](Self::choose), this
-    /// draws no RNG and prefers the *roomiest* host rather than the
-    /// tightest fit — a migration destination should absorb the VM with
-    /// as little donor deflation as possible. Ties keep the lowest server
-    /// index.
+    /// ranked by that availability's norm. Unlike
+    /// [`choose`](Self::choose), this draws no RNG and prefers the
+    /// *roomiest* host rather than the tightest fit — a migration
+    /// destination should absorb the VM with as little donor deflation as
+    /// possible. Ties keep the lowest server index.
+    ///
+    /// The query reads the demand's deflation-notion fit list when one is
+    /// kept, and otherwise sweeps the rows without building one: a
+    /// migration asks for a deflated VM's current size, which rarely
+    /// repeats, so a list built for it would only be scored onto at every
+    /// class founding until evicted, and could push out a placement list.
     /// The naive oracle is
     /// [`best_headroom_with`](crate::placement::best_headroom_with).
     pub fn best_headroom(
@@ -757,15 +766,13 @@ impl PlacementIndex {
     ) -> Option<usize> {
         debug_assert_eq!(self.entries.len(), servers.len(), "index covers the fleet");
         let table = &self.tables[Notion::Deflation as usize];
-        let mut fit = table.fit.borrow_mut();
         let mut best: Option<(f64, u32)> = None;
-        for c in &fit.get(&table.rows, demand).cands {
-            let row = &table.rows[c.row as usize];
+        let mut consider = |row: &Row| {
             // The class's lowest member other than the excluded server.
             let id = if Some(row.min as usize) == exclude {
                 match table.members(row).iter().rev().nth(1) {
                     Some(&id) => id,
-                    None => continue,
+                    None => return,
                 }
             } else {
                 row.min
@@ -774,6 +781,19 @@ impl PlacementIndex {
                 row.norm > bn || (row.norm == bn && id < bid)
             }) {
                 best = Some((row.norm, id));
+            }
+        };
+        let mut fit = table.fit.borrow_mut();
+        match fit.hit(demand) {
+            Some(i) => {
+                for c in &fit.lists[i].cands {
+                    consider(&table.rows[c.row as usize]);
+                }
+            }
+            None => {
+                for row in table.rows.iter().filter(|r| fits(&r.vec, demand)) {
+                    consider(row);
+                }
             }
         }
         best.map(|(_, id)| id as usize)
@@ -1407,6 +1427,48 @@ mod tests {
         assert_eq!(index.best_headroom(&servers, &demand, Some(0)), Some(1));
         assert_agrees(&index, &servers, &demand, &[0, 1, 2, 3]);
         assert_agrees(&index, &servers, &spec(9.0), &[0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn a_headroom_miss_builds_and_evicts_no_list() {
+        // Each server's free share is too small for the demands below, so
+        // placement reaches the deflation tier and fills its fit lists.
+        let mut servers = fleet(4);
+        for (i, s) in servers.iter_mut().enumerate() {
+            s.add_vm(Vm::new(VmId(i as u64), spec(12.0), VmPriority::Low));
+        }
+        let index = PlacementIndex::new(&servers);
+        let mut rng = SimRng::seed_from_u64(1);
+        for cpu in 5..5 + FIT_LISTS {
+            let demand = spec(cpu as f64);
+            let mode = AvailabilityMode::Deflation;
+            let got = index.choose(PlacementPolicy::BestFit, &servers, &demand, mode, &mut rng);
+            assert!(got.is_some(), "cpu={cpu} fits the deflation tier");
+        }
+        let full = index.fit_list_counters();
+        assert_eq!(full.evictions, 0);
+        // A migration-sized demand with no list: the sweep answers, and no
+        // list is built or evicted.
+        let odd = spec(6.5);
+        for exclude in [None, Some(0), Some(2)] {
+            assert_eq!(
+                index.best_headroom(&servers, &odd, exclude),
+                best_headroom_with(&servers, &odd, exclude)
+            );
+        }
+        let after = index.fit_list_counters();
+        assert_eq!(
+            (after.builds, after.evictions, after.hits),
+            (full.builds, full.evictions, full.hits)
+        );
+        // A listed demand is read from its list.
+        let listed = spec(5.0);
+        assert_eq!(
+            index.best_headroom(&servers, &listed, Some(1)),
+            best_headroom_with(&servers, &listed, Some(1))
+        );
+        assert_eq!(index.fit_list_counters().hits, after.hits + 1);
+        index.assert_consistent(&servers);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! The fleet can be partitioned into independent **cells** (see
 //! [`ShardingConfig`]): each cell owns its own [`ClusterManager`] —
 //! placement index, distress/breaker state, fault injector — and its own
-//! event queue, wrapped in a [`SimCell`]. A deterministic federation
+//! event queue, wrapped in a `SimCell`. A deterministic federation
 //! layer drives the cells in conservative time windows (*epochs*): within
 //! a window every cell advances its sequentially-deterministic event
 //! stream independently (in parallel across worker threads), and at the
@@ -288,6 +288,10 @@ impl Source {
 /// driven from `ZERO` to the horizon in a single window; the sharded
 /// simulator drives many of them window by window and settles their
 /// spill outboxes at each barrier.
+///
+/// A cell owns all of its state outright (each guest's state is a plain
+/// field of its `Vm`), so `SimCell` is `Send` and whole cells move
+/// between worker threads at epoch boundaries with no `unsafe`.
 struct SimCell {
     manager: ClusterManager,
     sched: Scheduler<Ev>,
@@ -1165,27 +1169,6 @@ struct CellOutcome {
     events: u64,
 }
 
-/// Moves whole cells between scoped worker threads at epoch boundaries.
-///
-/// # Safety
-///
-/// `SimCell` is not auto-`Send` because VM guest state is shared between
-/// a server and its local controller via `Rc<RefCell<_>>`
-/// ([`hypervisor::SharedVmState`]). A cell is a *closed ownership
-/// domain* for those handles: every `Rc` clone is created and dropped
-/// inside the owning cell (live migration moves VMs between servers of
-/// the same manager, never across cells), and the only data that crosses
-/// cells — spilled [`VmRequest`]s — is plain owned data. Cells move
-/// between threads only at epoch barriers, when the scoped pool has
-/// joined and no borrow is live, so reference counts are never touched
-/// from two threads. (The hypervisor's thread-local leaked-session
-/// counter may under-report across workers; it only registers on a
-/// session-leak bug, which debug builds catch by panicking at the leak
-/// site.)
-struct CellSlot(SimCell);
-#[allow(unsafe_code)]
-unsafe impl Send for CellSlot {}
-
 fn run_with_source(cfg: &ClusterSimConfig, source: Source) -> ClusterSimResult {
     let horizon = SimTime::ZERO + cfg.horizon;
     let mut cell = SimCell::new(cfg.manager.clone(), horizon, Some(source), false);
@@ -1247,15 +1230,15 @@ fn run_sharded(cfg: &ClusterSimConfig, mut source: Source) -> ClusterSimResult {
     // remainder goes to the lowest-indexed cells.
     let base = total / cells_n;
     let rem = total % cells_n;
-    let mut cells: Vec<CellSlot> = (0..cells_n)
+    let mut cells: Vec<SimCell> = (0..cells_n)
         .map(|i| {
             let shard = base + usize::from(i < rem);
-            CellSlot(SimCell::new(
+            SimCell::new(
                 cell_manager_cfg(&cfg.manager, i, cells_n, shard, total),
                 horizon,
                 None,
                 spill_fanout > 0,
-            ))
+            )
         })
         .collect();
 
@@ -1275,7 +1258,7 @@ fn run_sharded(cfg: &ClusterSimConfig, mut source: Source) -> ClusterSimResult {
                 break;
             }
             let c = home_cell(route_seed, req.id, cells_n);
-            cells[c].0.push_arrival(req);
+            cells[c].push_arrival(req);
             pending = source.next_request();
         }
         // Advance every cell's private event stream to the barrier, in
@@ -1283,7 +1266,7 @@ fn run_sharded(cfg: &ClusterSimConfig, mut source: Source) -> ClusterSimResult {
         // returns them in index order, so the outcome is the same for
         // any worker count (tested: 1, 2 and 8 threads byte-identical).
         cells = parallel_map_workers(sh.threads, cells, |mut c| {
-            c.0.run_window(t1);
+            c.run_window(t1);
             c
         });
         // Barrier: settle spill outboxes sequentially in cell order.
@@ -1293,15 +1276,15 @@ fn run_sharded(cfg: &ClusterSimConfig, mut source: Source) -> ClusterSimResult {
         // every probe refuses, the rejection is charged to the home
         // cell, exactly once.
         for home in 0..cells_n {
-            if cells[home].0.outbox.is_empty() {
+            if cells[home].outbox.is_empty() {
                 continue;
             }
-            let outbox = std::mem::take(&mut cells[home].0.outbox);
+            let outbox = std::mem::take(&mut cells[home].outbox);
             for req in outbox {
                 let mut placed = false;
                 for d in 1..=spill_fanout {
                     let tgt = (home + d) % cells_n;
-                    if cells[tgt].0.try_spill_in(t1, &req) {
+                    if cells[tgt].try_spill_in(t1, &req) {
                         placed = true;
                         break;
                     }
@@ -1309,14 +1292,13 @@ fn run_sharded(cfg: &ClusterSimConfig, mut source: Source) -> ClusterSimResult {
                 if placed {
                     spills_placed += 1;
                     cells[home]
-                        .0
                         .manager
                         .observability_mut()
                         .metrics
                         .incr("cluster.spills_out");
                 } else {
                     spills_rejected += 1;
-                    cells[home].0.manager.reject_spill(t1, req.id);
+                    cells[home].manager.reject_spill(t1, req.id);
                 }
             }
         }
@@ -1325,7 +1307,7 @@ fn run_sharded(cfg: &ClusterSimConfig, mut source: Source) -> ClusterSimResult {
 
     let outs: Vec<CellOutcome> = cells
         .into_iter()
-        .map(|c| c.0.finish(horizon, cfg.horizon, "cell"))
+        .map(|c| c.finish(horizon, cfg.horizon, "cell"))
         .collect();
     let summary = merged_summary(cells_n, epoch, spills_placed, spills_rejected, &outs);
     merge_outcomes(cfg.horizon, outs, Some(summary))

@@ -10,7 +10,9 @@
 //! The controller is deliberately mechanism-agnostic: it only talks to the
 //! three layer traits from [`crate::layers`], so the same control flow
 //! drives the simulated substrate in this workspace and could drive a
-//! libvirt-backed implementation unchanged.
+//! libvirt-backed implementation unchanged. The VM's state is owned by
+//! the caller and lent to each layer in turn, as one `&mut S` threaded
+//! through the calls; no layer holds a handle to it.
 
 use simkit::{SimDuration, SimTime, Span};
 
@@ -376,7 +378,8 @@ impl SaturatingSince for SimDuration {
 /// Runs cascade deflation against one VM (paper Fig. 3).
 ///
 /// `target` is the reclamation vector the cluster manager assigned to this
-/// VM. The function drives the three layers in order and returns a
+/// VM, and `vm` is that VM's state, which every layer reads and changes
+/// in turn. The function drives the three layers in order and returns a
 /// [`CascadeOutcome`] describing who reclaimed what and how long it took.
 ///
 /// The guest-OS unplug target follows the pseudo-code exactly:
@@ -406,12 +409,13 @@ impl SaturatingSince for SimDuration {
 ///
 /// See the crate-level example and the `hypervisor` crate, which provides
 /// the substrate implementing the three traits.
-pub fn deflate_vm(
+pub fn deflate_vm<S: ?Sized>(
     now: SimTime,
     target: &ResourceVector,
-    app: Option<&mut dyn ApplicationAgent>,
-    os: &mut dyn GuestOs,
-    hv: &mut dyn HypervisorControl,
+    vm: &mut S,
+    app: Option<&mut dyn ApplicationAgent<S>>,
+    os: &mut dyn GuestOs<S>,
+    hv: &mut dyn HypervisorControl<S>,
     cfg: &CascadeConfig,
 ) -> CascadeOutcome {
     let mut outcome = CascadeOutcome::default();
@@ -421,7 +425,7 @@ pub fn deflate_vm(
     let mut app_r = ResourceVector::ZERO;
     if cfg.use_app {
         if let Some(agent) = app {
-            let res = agent.self_deflate(now, target);
+            let res = agent.self_deflate(vm, now, target);
             outcome.app = LayerReport {
                 requested: *target,
                 // An agent cannot relinquish more than asked.
@@ -437,7 +441,7 @@ pub fn deflate_vm(
                 &mut spent,
                 cfg.deadline,
                 &cfg.retry,
-                &mut |at, remainder, _budget| agent.self_deflate(at, remainder),
+                &mut |at, remainder, _budget| agent.self_deflate(vm, at, remainder),
             );
             app_r = outcome.app.reclaimed;
         }
@@ -452,9 +456,9 @@ pub fn deflate_vm(
     if cfg.use_os {
         let budget = remaining_budget(cfg.deadline, spent);
         if budget != Some(SimDuration::ZERO) {
-            let unplug_target = app_r.max(&os.unpluggable()).min(target);
+            let unplug_target = app_r.max(&os.unpluggable(vm)).min(target);
             if !unplug_target.is_zero() {
-                let res = os.try_unplug(now, &unplug_target, budget);
+                let res = os.try_unplug(vm, now, &unplug_target, budget);
                 outcome.os = LayerReport {
                     requested: unplug_target,
                     reclaimed: res.reclaimed.min(&unplug_target),
@@ -469,7 +473,7 @@ pub fn deflate_vm(
                     &mut spent,
                     cfg.deadline,
                     &cfg.retry,
-                    &mut |at, remainder, budget| os.try_unplug(at, remainder, budget),
+                    &mut |at, remainder, budget| os.try_unplug(vm, at, remainder, budget),
                 );
                 unplug_r = outcome.os.reclaimed;
             }
@@ -494,7 +498,7 @@ pub fn deflate_vm(
         let remainder = target.saturating_sub(&credited);
         if !remainder.is_zero() {
             let budget = remaining_budget(cfg.deadline, spent);
-            let res = hv.overcommit(now, &remainder, budget);
+            let res = hv.overcommit(vm, now, &remainder, budget);
             outcome.hypervisor = LayerReport {
                 requested: remainder,
                 reclaimed: res.reclaimed.min(&remainder),
@@ -509,7 +513,7 @@ pub fn deflate_vm(
                 &mut spent,
                 cfg.deadline,
                 &cfg.retry,
-                &mut |at, rem, budget| hv.overcommit(at, rem, budget),
+                &mut |at, rem, budget| hv.overcommit(vm, at, rem, budget),
             );
             hv_r = outcome.hypervisor.reclaimed;
         }
@@ -541,24 +545,25 @@ pub fn deflate_vm(
 ///
 /// Returns the amount actually re-inflated, which may be less than
 /// requested if the VM was not deflated that far.
-pub fn reinflate_vm(
+pub fn reinflate_vm<S: ?Sized>(
     now: SimTime,
     amount: &ResourceVector,
-    app: Option<&mut dyn ApplicationAgent>,
-    os: &mut dyn GuestOs,
-    hv: &mut dyn HypervisorControl,
+    vm: &mut S,
+    app: Option<&mut dyn ApplicationAgent<S>>,
+    os: &mut dyn GuestOs<S>,
+    hv: &mut dyn HypervisorControl<S>,
 ) -> ResourceVector {
-    let released = hv.release(now, amount);
+    let released = hv.release(vm, now, amount);
     let remainder = amount.saturating_sub(&released);
     let plugged = if remainder.is_zero() {
         ResourceVector::ZERO
     } else {
-        os.hot_plug(now, &remainder)
+        os.hot_plug(vm, now, &remainder)
     };
     let total = released + plugged;
     if !total.is_zero() {
         if let Some(agent) = app {
-            agent.reinflate(now, &total);
+            agent.reinflate(vm, now, &total);
         }
     }
     total
@@ -570,33 +575,47 @@ mod tests {
     use crate::layers::{InelasticAgent, ReclaimResult};
     use crate::resources::ResourceKind;
 
-    /// A scriptable fake guest OS.
-    struct FakeOs {
+    /// The state of a fake VM: its free pool and what each layer took.
+    struct FakeVm {
         free: ResourceVector,
         unplugged: ResourceVector,
+        over: ResourceVector,
+    }
+
+    impl FakeVm {
+        fn new(free: ResourceVector) -> Self {
+            FakeVm {
+                free,
+                unplugged: ResourceVector::ZERO,
+                over: ResourceVector::ZERO,
+            }
+        }
+    }
+
+    /// A scriptable fake guest OS.
+    struct FakeOs {
         /// Fraction of the unplug request that succeeds (busy-resource model).
         success_fraction: f64,
         latency: SimDuration,
     }
 
     impl FakeOs {
-        fn new(free: ResourceVector) -> Self {
+        fn new() -> Self {
             FakeOs {
-                free,
-                unplugged: ResourceVector::ZERO,
                 success_fraction: 1.0,
                 latency: SimDuration::from_secs(1),
             }
         }
     }
 
-    impl GuestOs for FakeOs {
-        fn unpluggable(&self) -> ResourceVector {
-            self.free
+    impl GuestOs<FakeVm> for FakeOs {
+        fn unpluggable(&self, vm: &FakeVm) -> ResourceVector {
+            vm.free
         }
 
         fn try_unplug(
             &mut self,
+            vm: &mut FakeVm,
             _now: SimTime,
             target: &ResourceVector,
             budget: Option<SimDuration>,
@@ -605,37 +624,41 @@ mod tests {
                 return ReclaimResult::NOTHING;
             }
             let got = target.scale(self.success_fraction);
-            self.unplugged += got;
-            self.free = self.free.saturating_sub(&got);
+            vm.unplugged += got;
+            vm.free = vm.free.saturating_sub(&got);
             ReclaimResult::new(got, self.latency)
         }
 
-        fn hot_plug(&mut self, _now: SimTime, amount: &ResourceVector) -> ResourceVector {
-            let give = amount.min(&self.unplugged);
-            self.unplugged -= give;
-            self.free += give;
+        fn hot_plug(
+            &mut self,
+            vm: &mut FakeVm,
+            _now: SimTime,
+            amount: &ResourceVector,
+        ) -> ResourceVector {
+            let give = amount.min(&vm.unplugged);
+            vm.unplugged -= give;
+            vm.free += give;
             give
         }
     }
 
     /// A fake hypervisor that always reclaims in full.
     struct FakeHv {
-        over: ResourceVector,
         latency: SimDuration,
     }
 
     impl FakeHv {
         fn new() -> Self {
             FakeHv {
-                over: ResourceVector::ZERO,
                 latency: SimDuration::from_secs(10),
             }
         }
     }
 
-    impl HypervisorControl for FakeHv {
+    impl HypervisorControl<FakeVm> for FakeHv {
         fn overcommit(
             &mut self,
+            vm: &mut FakeVm,
             _now: SimTime,
             amount: &ResourceVector,
             budget: Option<SimDuration>,
@@ -643,30 +666,40 @@ mod tests {
             if budget == Some(SimDuration::ZERO) {
                 return ReclaimResult::NOTHING;
             }
-            self.over += *amount;
+            vm.over += *amount;
             ReclaimResult::new(*amount, self.latency)
         }
 
-        fn release(&mut self, _now: SimTime, amount: &ResourceVector) -> ResourceVector {
-            let give = amount.min(&self.over);
-            self.over -= give;
+        fn release(
+            &mut self,
+            vm: &mut FakeVm,
+            _now: SimTime,
+            amount: &ResourceVector,
+        ) -> ResourceVector {
+            let give = amount.min(&vm.over);
+            vm.over -= give;
             give
         }
 
-        fn overcommitted(&self) -> ResourceVector {
-            self.over
+        fn overcommitted(&self, vm: &FakeVm) -> ResourceVector {
+            vm.over
         }
     }
 
     /// An agent that relinquishes a fixed fraction of any request.
     struct FractionAgent(f64);
 
-    impl ApplicationAgent for FractionAgent {
-        fn self_deflate(&mut self, _now: SimTime, target: &ResourceVector) -> ReclaimResult {
+    impl ApplicationAgent<FakeVm> for FractionAgent {
+        fn self_deflate(
+            &mut self,
+            _vm: &mut FakeVm,
+            _now: SimTime,
+            target: &ResourceVector,
+        ) -> ReclaimResult {
             ReclaimResult::new(target.scale(self.0), SimDuration::from_millis(100))
         }
 
-        fn reinflate(&mut self, _now: SimTime, _available: &ResourceVector) {}
+        fn reinflate(&mut self, _vm: &mut FakeVm, _now: SimTime, _available: &ResourceVector) {}
     }
 
     fn target() -> ResourceVector {
@@ -675,12 +708,14 @@ mod tests {
 
     #[test]
     fn full_cascade_meets_target() {
-        let mut os = FakeOs::new(ResourceVector::new(1.0, 4_096.0, 50.0, 100.0));
+        let mut vm = FakeVm::new(ResourceVector::new(1.0, 4_096.0, 50.0, 100.0));
+        let mut os = FakeOs::new();
         let mut hv = FakeHv::new();
         let mut agent = FractionAgent(0.5);
         let out = deflate_vm(
             SimTime::ZERO,
             &target(),
+            &mut vm,
             Some(&mut agent),
             &mut os,
             &mut hv,
@@ -708,11 +743,13 @@ mod tests {
 
     #[test]
     fn hypervisor_only_reclaims_everything_at_hv() {
-        let mut os = FakeOs::new(target());
+        let mut vm = FakeVm::new(target());
+        let mut os = FakeOs::new();
         let mut hv = FakeHv::new();
         let out = deflate_vm(
             SimTime::ZERO,
             &target(),
+            &mut vm,
             None,
             &mut os,
             &mut hv,
@@ -721,18 +758,20 @@ mod tests {
         assert!(out.met_target());
         assert!(out.os.reclaimed.is_zero());
         assert!(out.hypervisor.reclaimed.approx_eq(&target(), 1e-9));
-        assert!(hv.overcommitted().approx_eq(&target(), 1e-9));
+        assert!(hv.overcommitted(&vm).approx_eq(&target(), 1e-9));
     }
 
     #[test]
     fn os_only_can_fall_short() {
         // Free pool smaller than target and no hypervisor fall-through.
         let free = ResourceVector::new(1.0, 2_048.0, 0.0, 0.0);
-        let mut os = FakeOs::new(free);
+        let mut vm = FakeVm::new(free);
+        let mut os = FakeOs::new();
         let mut hv = FakeHv::new();
         let out = deflate_vm(
             SimTime::ZERO,
             &target(),
+            &mut vm,
             None,
             &mut os,
             &mut hv,
@@ -746,12 +785,14 @@ mod tests {
 
     #[test]
     fn partial_unplug_falls_through() {
-        let mut os = FakeOs::new(target());
+        let mut vm = FakeVm::new(target());
+        let mut os = FakeOs::new();
         os.success_fraction = 0.25; // Busy resources: only 25 % unplugs.
         let mut hv = FakeHv::new();
         let out = deflate_vm(
             SimTime::ZERO,
             &target(),
+            &mut vm,
             None,
             &mut os,
             &mut hv,
@@ -767,12 +808,14 @@ mod tests {
 
     #[test]
     fn inelastic_agent_pushes_everything_down() {
-        let mut os = FakeOs::new(ResourceVector::ZERO); // Nothing free either.
+        let mut vm = FakeVm::new(ResourceVector::ZERO); // Nothing free either.
+        let mut os = FakeOs::new();
         let mut hv = FakeHv::new();
         let mut agent = InelasticAgent;
         let out = deflate_vm(
             SimTime::ZERO,
             &target(),
+            &mut vm,
             Some(&mut agent),
             &mut os,
             &mut hv,
@@ -786,7 +829,8 @@ mod tests {
 
     #[test]
     fn deadline_skips_exhausted_layers() {
-        let mut os = FakeOs::new(target());
+        let mut vm = FakeVm::new(target());
+        let mut os = FakeOs::new();
         os.latency = SimDuration::from_secs(5);
         let mut hv = FakeHv::new();
         let mut agent = FractionAgent(0.5);
@@ -796,6 +840,7 @@ mod tests {
         let out = deflate_vm(
             SimTime::ZERO,
             &target(),
+            &mut vm,
             Some(&mut agent),
             &mut os,
             &mut hv,
@@ -821,12 +866,14 @@ mod tests {
             retry: RetryPolicy::NONE,
             working_set_floor: false,
         };
-        let mut os = FakeOs::new(target());
+        let mut vm = FakeVm::new(target());
+        let mut os = FakeOs::new();
         let mut hv = FakeHv::new();
         let mut agent = FractionAgent(1.0);
         let out = deflate_vm(
             SimTime::ZERO,
             &target(),
+            &mut vm,
             Some(&mut agent),
             &mut os,
             &mut hv,
@@ -835,7 +882,7 @@ mod tests {
         // Nothing falls through: the hypervisor is never asked.
         assert!(out.hypervisor.requested.is_zero());
         assert!(out.hypervisor.reclaimed.is_zero());
-        assert!(hv.overcommitted().is_zero());
+        assert!(hv.overcommitted(&vm).is_zero());
         // And the app's contribution is credited in full.
         assert!(out.total_reclaimed.approx_eq(&target(), 1e-9));
         assert!(out.shortfall.is_zero());
@@ -845,18 +892,25 @@ mod tests {
     #[test]
     fn agent_cannot_overshoot_target() {
         struct Overeager;
-        impl ApplicationAgent for Overeager {
-            fn self_deflate(&mut self, _n: SimTime, t: &ResourceVector) -> ReclaimResult {
+        impl ApplicationAgent<FakeVm> for Overeager {
+            fn self_deflate(
+                &mut self,
+                _vm: &mut FakeVm,
+                _n: SimTime,
+                t: &ResourceVector,
+            ) -> ReclaimResult {
                 ReclaimResult::new(t.scale(10.0), SimDuration::ZERO)
             }
-            fn reinflate(&mut self, _n: SimTime, _a: &ResourceVector) {}
+            fn reinflate(&mut self, _vm: &mut FakeVm, _n: SimTime, _a: &ResourceVector) {}
         }
-        let mut os = FakeOs::new(target());
+        let mut vm = FakeVm::new(target());
+        let mut os = FakeOs::new();
         let mut hv = FakeHv::new();
         let mut agent = Overeager;
         let out = deflate_vm(
             SimTime::ZERO,
             &target(),
+            &mut vm,
             Some(&mut agent),
             &mut os,
             &mut hv,
@@ -868,37 +922,41 @@ mod tests {
 
     #[test]
     fn reinflate_releases_hv_first_then_plugs() {
-        let mut os = FakeOs::new(target());
+        let mut vm = FakeVm::new(target());
+        let mut os = FakeOs::new();
         os.success_fraction = 0.5;
         let mut hv = FakeHv::new();
         let out = deflate_vm(
             SimTime::ZERO,
             &target(),
+            &mut vm,
             None,
             &mut os,
             &mut hv,
             &CascadeConfig::VM_LEVEL,
         );
         assert!(out.met_target());
-        let overcommitted_before = hv.overcommitted();
+        let overcommitted_before = hv.overcommitted(&vm);
         assert!(!overcommitted_before.is_zero());
 
         // Reinflate the full target: hypervisor share released, rest plugged.
-        let got = reinflate_vm(SimTime::ZERO, &target(), None, &mut os, &mut hv);
+        let got = reinflate_vm(SimTime::ZERO, &target(), &mut vm, None, &mut os, &mut hv);
         assert!(got.approx_eq(&target(), 1e-9));
-        assert!(hv.overcommitted().is_zero());
-        assert!(os.unplugged.is_zero());
+        assert!(hv.overcommitted(&vm).is_zero());
+        assert!(vm.unplugged.is_zero());
     }
 
     #[test]
     fn reinflate_caps_at_deflated_amount() {
-        let mut os = FakeOs::new(target());
+        let mut vm = FakeVm::new(target());
+        let mut os = FakeOs::new();
         let mut hv = FakeHv::new();
         // Deflate only half the target.
         let half = target().scale(0.5);
         let out = deflate_vm(
             SimTime::ZERO,
             &half,
+            &mut vm,
             None,
             &mut os,
             &mut hv,
@@ -906,18 +964,20 @@ mod tests {
         );
         assert!(out.met_target());
         // Ask for twice as much back; get only the deflated half.
-        let got = reinflate_vm(SimTime::ZERO, &target(), None, &mut os, &mut hv);
+        let got = reinflate_vm(SimTime::ZERO, &target(), &mut vm, None, &mut os, &mut hv);
         assert!(got.approx_eq(&half, 1e-9), "got {got}");
     }
 
     #[test]
     fn outcome_span_carries_layer_payloads() {
-        let mut os = FakeOs::new(ResourceVector::new(1.0, 4_096.0, 50.0, 100.0));
+        let mut vm = FakeVm::new(ResourceVector::new(1.0, 4_096.0, 50.0, 100.0));
+        let mut os = FakeOs::new();
         let mut hv = FakeHv::new();
         let mut agent = FractionAgent(0.5);
         let out = deflate_vm(
             SimTime::ZERO,
             &target(),
+            &mut vm,
             Some(&mut agent),
             &mut os,
             &mut hv,
@@ -961,11 +1021,13 @@ mod tests {
 
     #[test]
     fn outcome_span_skips_idle_layers() {
-        let mut os = FakeOs::new(target());
+        let mut vm = FakeVm::new(target());
+        let mut os = FakeOs::new();
         let mut hv = FakeHv::new();
         let out = deflate_vm(
             SimTime::ZERO,
             &target(),
+            &mut vm,
             None,
             &mut os,
             &mut hv,
@@ -981,12 +1043,21 @@ mod tests {
 
     #[test]
     fn retries_converge_on_flaky_layer() {
-        let mut os = FakeOs::new(target());
+        let mut vm = FakeVm::new(target());
+        let mut os = FakeOs::new();
         os.success_fraction = 0.5; // Every attempt unplugs half the remainder.
         let mut hv = FakeHv::new();
         let cfg = CascadeConfig::OS_ONLY
             .with_retry(RetryPolicy::attempts(3, SimDuration::from_millis(10)));
-        let out = deflate_vm(SimTime::ZERO, &target(), None, &mut os, &mut hv, &cfg);
+        let out = deflate_vm(
+            SimTime::ZERO,
+            &target(),
+            &mut vm,
+            None,
+            &mut os,
+            &mut hv,
+            &cfg,
+        );
         assert_eq!(out.os.attempts, 3);
         assert_eq!(out.retries, 2);
         // 1/2 + 1/4 + 1/8 of the target across the three attempts.
@@ -1002,11 +1073,20 @@ mod tests {
 
     #[test]
     fn retry_stops_once_target_met() {
-        let mut os = FakeOs::new(target());
+        let mut vm = FakeVm::new(target());
+        let mut os = FakeOs::new();
         let mut hv = FakeHv::new();
         let cfg =
             CascadeConfig::VM_LEVEL.with_retry(RetryPolicy::attempts(5, SimDuration::from_secs(1)));
-        let out = deflate_vm(SimTime::ZERO, &target(), None, &mut os, &mut hv, &cfg);
+        let out = deflate_vm(
+            SimTime::ZERO,
+            &target(),
+            &mut vm,
+            None,
+            &mut os,
+            &mut hv,
+            &cfg,
+        );
         // The OS reclaimed everything on the first try: no retries burned.
         assert_eq!(out.os.attempts, 1);
         assert_eq!(out.retries, 0);
@@ -1016,7 +1096,8 @@ mod tests {
 
     #[test]
     fn retry_backoff_respects_deadline_budget() {
-        let mut os = FakeOs::new(target());
+        let mut vm = FakeVm::new(target());
+        let mut os = FakeOs::new();
         os.success_fraction = 0.5;
         os.latency = SimDuration::from_secs(2);
         let mut hv = FakeHv::new();
@@ -1026,7 +1107,15 @@ mod tests {
         let cfg = CascadeConfig::VM_LEVEL
             .with_deadline(SimDuration::from_secs(3))
             .with_retry(RetryPolicy::attempts(5, SimDuration::from_secs(2)));
-        let out = deflate_vm(SimTime::ZERO, &target(), None, &mut os, &mut hv, &cfg);
+        let out = deflate_vm(
+            SimTime::ZERO,
+            &target(),
+            &mut vm,
+            None,
+            &mut os,
+            &mut hv,
+            &cfg,
+        );
         assert_eq!(out.os.attempts, 1, "backoff would blow the deadline");
         assert!(out.met_target(), "hypervisor picks up the slack");
         assert_eq!(out.escalations, 1);
@@ -1066,11 +1155,13 @@ mod tests {
 
     #[test]
     fn zero_target_is_a_noop() {
-        let mut os = FakeOs::new(target());
+        let mut vm = FakeVm::new(target());
+        let mut os = FakeOs::new();
         let mut hv = FakeHv::new();
         let out = deflate_vm(
             SimTime::ZERO,
             &ResourceVector::ZERO,
+            &mut vm,
             None,
             &mut os,
             &mut hv,

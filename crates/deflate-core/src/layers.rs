@@ -52,7 +52,10 @@ impl ReclaimResult {
 /// report how much they voluntarily relinquished. Inelastic applications
 /// simply return [`ReclaimResult::NOTHING`], which is the paper's default
 /// policy of ignoring the request and letting lower layers reclaim.
-pub trait ApplicationAgent {
+///
+/// All three layer traits act on one VM's state `S`, which the caller
+/// owns and lends to each layer in turn; no layer keeps a handle to it.
+pub trait ApplicationAgent<S: ?Sized> {
     /// Asks the application to voluntarily relinquish up to `target`.
     ///
     /// Returns the amount the application freed *inside the guest* and the
@@ -61,11 +64,11 @@ pub trait ApplicationAgent {
     /// and overcommitted, they count toward the cascade's total once — the
     /// controller credits `max(app, os)`, not the sum (see
     /// [`crate::cascade::deflate_vm`]).
-    fn self_deflate(&mut self, now: SimTime, target: &ResourceVector) -> ReclaimResult;
+    fn self_deflate(&mut self, vm: &mut S, now: SimTime, target: &ResourceVector) -> ReclaimResult;
 
     /// Notifies the application that `available` additional resources were
     /// re-inflated into its VM.
-    fn reinflate(&mut self, now: SimTime, available: &ResourceVector);
+    fn reinflate(&mut self, vm: &mut S, now: SimTime, available: &ResourceVector);
 
     /// A short name for traces.
     fn name(&self) -> &str {
@@ -81,12 +84,17 @@ pub trait ApplicationAgent {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct InelasticAgent;
 
-impl ApplicationAgent for InelasticAgent {
-    fn self_deflate(&mut self, _now: SimTime, _target: &ResourceVector) -> ReclaimResult {
+impl<S: ?Sized> ApplicationAgent<S> for InelasticAgent {
+    fn self_deflate(
+        &mut self,
+        _vm: &mut S,
+        _now: SimTime,
+        _target: &ResourceVector,
+    ) -> ReclaimResult {
         ReclaimResult::NOTHING
     }
 
-    fn reinflate(&mut self, _now: SimTime, _available: &ResourceVector) {}
+    fn reinflate(&mut self, _vm: &mut S, _now: SimTime, _available: &ResourceVector) {}
 
     fn name(&self) -> &str {
         "inelastic"
@@ -94,11 +102,11 @@ impl ApplicationAgent for InelasticAgent {
 }
 
 /// Guest-OS level reclamation via resource hot-unplug (paper §3.2.2).
-pub trait GuestOs {
+pub trait GuestOs<S: ?Sized> {
     /// Resources the OS believes are safely unpluggable *right now* —
     /// free memory plus anything the application just relinquished, and
     /// idle vCPUs. (`get_system_free()` in the paper's pseudo-code.)
-    fn unpluggable(&self) -> ResourceVector;
+    fn unpluggable(&self, vm: &S) -> ResourceVector;
 
     /// Attempts to hot-unplug up to `target`, best-effort.
     ///
@@ -108,6 +116,7 @@ pub trait GuestOs {
     /// operation may take — the OS reclaims as much as fits.
     fn try_unplug(
         &mut self,
+        vm: &mut S,
         now: SimTime,
         target: &ResourceVector,
         budget: Option<SimDuration>,
@@ -115,11 +124,11 @@ pub trait GuestOs {
 
     /// Hot-plugs resources back into the guest; returns the amount
     /// actually added (capped by how much was previously unplugged).
-    fn hot_plug(&mut self, now: SimTime, amount: &ResourceVector) -> ResourceVector;
+    fn hot_plug(&mut self, vm: &mut S, now: SimTime, amount: &ResourceVector) -> ResourceVector;
 }
 
 /// Hypervisor-level reclamation via overcommitment (paper §3.2.3).
-pub trait HypervisorControl {
+pub trait HypervisorControl<S: ?Sized> {
     /// Overcommits `amount` of the VM's resources (CPU-share throttling,
     /// memory limits + host swap, I/O throttling). This is the layer of
     /// last resort: it always reclaims the full amount, at a latency cost
@@ -127,6 +136,7 @@ pub trait HypervisorControl {
     /// mechanism reclaims what it can within it.
     fn overcommit(
         &mut self,
+        vm: &mut S,
         now: SimTime,
         amount: &ResourceVector,
         budget: Option<SimDuration>,
@@ -134,10 +144,10 @@ pub trait HypervisorControl {
 
     /// Releases previously-overcommitted resources; returns the amount
     /// actually released (capped by the current overcommitment).
-    fn release(&mut self, now: SimTime, amount: &ResourceVector) -> ResourceVector;
+    fn release(&mut self, vm: &mut S, now: SimTime, amount: &ResourceVector) -> ResourceVector;
 
     /// How much is currently reclaimed through overcommitment.
-    fn overcommitted(&self) -> ResourceVector;
+    fn overcommitted(&self, vm: &S) -> ResourceVector;
 }
 
 #[cfg(test)]
@@ -147,11 +157,11 @@ mod tests {
     #[test]
     fn inelastic_agent_declines() {
         let mut agent = InelasticAgent;
-        let r = agent.self_deflate(SimTime::ZERO, &ResourceVector::cpu(2.0));
+        let r = agent.self_deflate(&mut (), SimTime::ZERO, &ResourceVector::cpu(2.0));
         assert_eq!(r, ReclaimResult::NOTHING);
-        assert_eq!(agent.name(), "inelastic");
+        assert_eq!(ApplicationAgent::<()>::name(&agent), "inelastic");
         // Reinflate is a no-op but must not panic.
-        agent.reinflate(SimTime::ZERO, &ResourceVector::cpu(2.0));
+        agent.reinflate(&mut (), SimTime::ZERO, &ResourceVector::cpu(2.0));
     }
 
     #[test]

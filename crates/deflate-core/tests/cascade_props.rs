@@ -17,6 +17,23 @@ use deflate_core::{
 use proptest::prelude::*;
 use simkit::{SimDuration, SimTime};
 
+/// The state of a fake VM: its free pool and what each layer took.
+struct Pool {
+    free: ResourceVector,
+    unplugged: ResourceVector,
+    over: ResourceVector,
+}
+
+impl Pool {
+    fn new(free: ResourceVector) -> Self {
+        Pool {
+            free,
+            unplugged: ResourceVector::ZERO,
+            over: ResourceVector::ZERO,
+        }
+    }
+}
+
 /// An application agent that relinquishes an arbitrary fraction of any
 /// request.
 struct FracAgent {
@@ -24,30 +41,34 @@ struct FracAgent {
     latency_ms: u64,
 }
 
-impl ApplicationAgent for FracAgent {
-    fn self_deflate(&mut self, _now: SimTime, target: &ResourceVector) -> ReclaimResult {
+impl ApplicationAgent<Pool> for FracAgent {
+    fn self_deflate(
+        &mut self,
+        _vm: &mut Pool,
+        _now: SimTime,
+        target: &ResourceVector,
+    ) -> ReclaimResult {
         ReclaimResult::new(
             target.scale(self.frac),
             SimDuration::from_millis(self.latency_ms),
         )
     }
-    fn reinflate(&mut self, _now: SimTime, _a: &ResourceVector) {}
+    fn reinflate(&mut self, _vm: &mut Pool, _now: SimTime, _a: &ResourceVector) {}
 }
 
-/// A guest OS with an arbitrary free pool and unplug success fraction.
+/// A guest OS with an arbitrary unplug success fraction over the pool.
 struct FracOs {
-    free: ResourceVector,
     success: f64,
-    unplugged: ResourceVector,
     latency_ms: u64,
 }
 
-impl GuestOs for FracOs {
-    fn unpluggable(&self) -> ResourceVector {
-        self.free
+impl GuestOs<Pool> for FracOs {
+    fn unpluggable(&self, vm: &Pool) -> ResourceVector {
+        vm.free
     }
     fn try_unplug(
         &mut self,
+        vm: &mut Pool,
         _now: SimTime,
         target: &ResourceVector,
         budget: Option<SimDuration>,
@@ -56,26 +77,31 @@ impl GuestOs for FracOs {
             return ReclaimResult::NOTHING;
         }
         let got = target.scale(self.success);
-        self.unplugged += got;
-        self.free = self.free.saturating_sub(&got);
+        vm.unplugged += got;
+        vm.free = vm.free.saturating_sub(&got);
         ReclaimResult::new(got, SimDuration::from_millis(self.latency_ms))
     }
-    fn hot_plug(&mut self, _now: SimTime, amount: &ResourceVector) -> ResourceVector {
-        let give = amount.min(&self.unplugged);
-        self.unplugged -= give;
+    fn hot_plug(
+        &mut self,
+        vm: &mut Pool,
+        _now: SimTime,
+        amount: &ResourceVector,
+    ) -> ResourceVector {
+        let give = amount.min(&vm.unplugged);
+        vm.unplugged -= give;
         give
     }
 }
 
 /// A hypervisor that reclaims in full unless its time budget is exhausted.
 struct FullHv {
-    over: ResourceVector,
     latency_ms: u64,
 }
 
-impl HypervisorControl for FullHv {
+impl HypervisorControl<Pool> for FullHv {
     fn overcommit(
         &mut self,
+        vm: &mut Pool,
         _now: SimTime,
         amount: &ResourceVector,
         budget: Option<SimDuration>,
@@ -83,16 +109,16 @@ impl HypervisorControl for FullHv {
         if budget == Some(SimDuration::ZERO) {
             return ReclaimResult::NOTHING;
         }
-        self.over += *amount;
+        vm.over += *amount;
         ReclaimResult::new(*amount, SimDuration::from_millis(self.latency_ms))
     }
-    fn release(&mut self, _now: SimTime, amount: &ResourceVector) -> ResourceVector {
-        let give = amount.min(&self.over);
-        self.over -= give;
+    fn release(&mut self, vm: &mut Pool, _now: SimTime, amount: &ResourceVector) -> ResourceVector {
+        let give = amount.min(&vm.over);
+        vm.over -= give;
         give
     }
-    fn overcommitted(&self) -> ResourceVector {
-        self.over
+    fn overcommitted(&self, vm: &Pool) -> ResourceVector {
+        vm.over
     }
 }
 
@@ -142,16 +168,16 @@ proptest! {
                 cfg
             };
             let mut agent = FracAgent { frac: app_frac, latency_ms: app_ms };
+            let mut vm = Pool::new(free);
             let mut os = FracOs {
-                free,
                 success: os_success,
-                unplugged: ResourceVector::ZERO,
                 latency_ms: os_ms,
             };
-            let mut hv = FullHv { over: ResourceVector::ZERO, latency_ms: hv_ms };
+            let mut hv = FullHv { latency_ms: hv_ms };
             let out = cascade::deflate_vm(
                 SimTime::ZERO,
                 &target,
+                &mut vm,
                 Some(&mut agent),
                 &mut os,
                 &mut hv,
@@ -219,23 +245,23 @@ proptest! {
         for mut cfg in all_configs() {
             cfg.use_app = true;
             let mut agent = FracAgent { frac: 1.0, latency_ms: 5 };
+            let mut vm = Pool::new(free);
             let mut os = FracOs {
-                free,
                 success: 1.0,
-                unplugged: ResourceVector::ZERO,
                 latency_ms: 5,
             };
-            let mut hv = FullHv { over: ResourceVector::ZERO, latency_ms: 5 };
+            let mut hv = FullHv { latency_ms: 5 };
             let out = cascade::deflate_vm(
                 SimTime::ZERO,
                 &target,
+                &mut vm,
                 Some(&mut agent),
                 &mut os,
                 &mut hv,
                 &cfg,
             );
             prop_assert!(out.hypervisor.requested.is_zero(), "{cfg:?}");
-            prop_assert!(hv.overcommitted().is_zero(), "{cfg:?}");
+            prop_assert!(hv.overcommitted(&vm).is_zero(), "{cfg:?}");
             prop_assert!(out.total_reclaimed.approx_eq(&target, 1e-6), "{cfg:?}");
             prop_assert!(out.met_target(), "{cfg:?}");
         }
@@ -249,16 +275,16 @@ proptest! {
         free in arb_vector(),
         os_success in 0.0f64..1.0,
     ) {
+        let mut vm = Pool::new(free);
         let mut os = FracOs {
-            free,
             success: os_success,
-            unplugged: ResourceVector::ZERO,
             latency_ms: 1,
         };
-        let mut hv = FullHv { over: ResourceVector::ZERO, latency_ms: 1 };
+        let mut hv = FullHv { latency_ms: 1 };
         let out = cascade::deflate_vm(
             SimTime::ZERO,
             &target,
+            &mut vm,
             None,
             &mut os,
             &mut hv,
@@ -266,11 +292,11 @@ proptest! {
         );
         prop_assert!(out.met_target());
 
-        let got = cascade::reinflate_vm(SimTime::ZERO, &target, None, &mut os, &mut hv);
+        let got = cascade::reinflate_vm(SimTime::ZERO, &target, &mut vm, None, &mut os, &mut hv);
         prop_assert!(got.approx_eq(&target, 1e-6), "got {} want {}", got, target);
-        prop_assert!(hv.overcommitted().is_zero());
+        prop_assert!(hv.overcommitted(&vm).is_zero());
         for k in ResourceKind::ALL {
-            prop_assert!(os.unplugged.get(k) < 1e-6);
+            prop_assert!(vm.unplugged.get(k) < 1e-6);
         }
     }
 
@@ -282,16 +308,16 @@ proptest! {
         free in arb_vector(),
     ) {
         for cfg in [CascadeConfig::HYPERVISOR_ONLY, CascadeConfig::VM_LEVEL] {
+            let mut vm = Pool::new(free);
             let mut os = FracOs {
-                free,
                 success: 1.0,
-                unplugged: ResourceVector::ZERO,
                 latency_ms: 1,
             };
-            let mut hv = FullHv { over: ResourceVector::ZERO, latency_ms: 1 };
+            let mut hv = FullHv { latency_ms: 1 };
             let out = cascade::deflate_vm(
                 SimTime::ZERO,
                 &target,
+                &mut vm,
                 None,
                 &mut os,
                 &mut hv,

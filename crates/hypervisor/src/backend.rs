@@ -7,48 +7,40 @@
 //!   longer fits, via an incremental control loop),
 //! * disk/network bandwidth through libvirt throttling.
 //!
-//! This backend reproduces the same semantics over the shared
-//! [`VmState`](crate::guest::VmState): overcommitment always succeeds (it
+//! This backend reproduces the same semantics over the
+//! [`VmState`] its VM lends it: overcommitment always succeeds (it
 //! is the layer of last resort), is transparent to the guest, and its
 //! latency is dominated by the memory that must be written to the host
 //! swap device.
 
-use std::rc::Rc;
-
 use deflate_core::{HypervisorControl, ReclaimResult, ResourceKind, ResourceVector};
 use simkit::{SimDuration, SimTime};
 
-use crate::guest::SharedVmState;
+use crate::guest::VmState;
 use crate::latency::LatencyModel;
 
-/// The hypervisor layer of one VM. Implements [`HypervisorControl`].
+/// The hypervisor layer of one VM: its latency model. Implements
+/// [`HypervisorControl`] over the [`VmState`] the caller lends it.
 #[derive(Debug)]
 pub struct HvBackend {
-    state: SharedVmState,
     latency: LatencyModel,
 }
 
 impl HvBackend {
-    /// Creates a backend over shared VM state.
-    pub fn new(state: SharedVmState, latency: LatencyModel) -> Self {
-        HvBackend { state, latency }
-    }
-
-    /// Shared state handle (for tests and wiring).
-    pub fn state(&self) -> SharedVmState {
-        Rc::clone(&self.state)
+    /// Creates a backend.
+    pub fn new(latency: LatencyModel) -> Self {
+        HvBackend { latency }
     }
 }
 
-impl HypervisorControl for HvBackend {
+impl HypervisorControl<VmState> for HvBackend {
     fn overcommit(
         &mut self,
+        st: &mut VmState,
         _now: SimTime,
         amount: &ResourceVector,
         budget: Option<SimDuration>,
     ) -> ReclaimResult {
-        let mut st = self.state.borrow_mut();
-
         // Clamp to what is still reclaimable: cannot overcommit below zero
         // effective allocation.
         let effective = st.effective();
@@ -119,8 +111,12 @@ impl HypervisorControl for HvBackend {
         ReclaimResult::new(want, latency)
     }
 
-    fn release(&mut self, _now: SimTime, amount: &ResourceVector) -> ResourceVector {
-        let mut st = self.state.borrow_mut();
+    fn release(
+        &mut self,
+        st: &mut VmState,
+        _now: SimTime,
+        amount: &ResourceVector,
+    ) -> ResourceVector {
         let give = amount.min(&st.overcommitted);
         st.overcommitted = st.overcommitted.saturating_sub(&give);
         // Swapped pages fault back in lazily; the bookkeeping cost is
@@ -131,59 +127,69 @@ impl HypervisorControl for HvBackend {
         give
     }
 
-    fn overcommitted(&self) -> ResourceVector {
-        self.state.borrow().overcommitted
+    fn overcommitted(&self, st: &VmState) -> ResourceVector {
+        st.overcommitted
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::guest::VmState;
 
     fn spec() -> ResourceVector {
         ResourceVector::new(4.0, 16_384.0, 200.0, 1_000.0)
     }
 
-    fn backend_with_usage(mem_used: f64) -> HvBackend {
-        let state = VmState::shared(spec());
-        state.borrow_mut().usage.memory_mb = mem_used;
-        HvBackend::new(state, LatencyModel::default())
+    fn backend_with_usage(mem_used: f64) -> (HvBackend, VmState) {
+        let mut st = VmState::new(spec());
+        st.usage.memory_mb = mem_used;
+        (HvBackend::new(LatencyModel::default()), st)
     }
 
     #[test]
     fn overcommit_reclaims_in_full_without_budget() {
-        let mut hv = backend_with_usage(4_096.0);
+        let (mut hv, mut st) = backend_with_usage(4_096.0);
         let req = ResourceVector::new(2.0, 8_192.0, 100.0, 500.0);
-        let r = hv.overcommit(SimTime::ZERO, &req, None);
+        let r = hv.overcommit(&mut st, SimTime::ZERO, &req, None);
         assert!(r.reclaimed.approx_eq(&req, 1e-9));
-        assert!(hv.overcommitted().approx_eq(&req, 1e-9));
+        assert!(hv.overcommitted(&st).approx_eq(&req, 1e-9));
         assert!(r.latency > SimDuration::ZERO);
     }
 
     #[test]
     fn memory_latency_depends_on_swap() {
         // Reclaiming free memory is fast…
-        let mut idle = backend_with_usage(0.0);
+        let (mut idle, mut st_idle) = backend_with_usage(0.0);
         let fast = idle
-            .overcommit(SimTime::ZERO, &ResourceVector::memory(8_192.0), None)
+            .overcommit(
+                &mut st_idle,
+                SimTime::ZERO,
+                &ResourceVector::memory(8_192.0),
+                None,
+            )
             .latency;
         // …reclaiming used memory must swap and is much slower.
-        let mut busy = backend_with_usage(16_000.0);
+        let (mut busy, mut st_busy) = backend_with_usage(16_000.0);
         let slow = busy
-            .overcommit(SimTime::ZERO, &ResourceVector::memory(8_192.0), None)
+            .overcommit(
+                &mut st_busy,
+                SimTime::ZERO,
+                &ResourceVector::memory(8_192.0),
+                None,
+            )
             .latency;
         assert!(
             slow.as_secs_f64() > 3.0 * fast.as_secs_f64(),
             "slow {slow} fast {fast}"
         );
-        assert!(busy.state().borrow().swapped_mb > 7_000.0);
+        assert!(st_busy.swapped_mb > 7_000.0);
     }
 
     #[test]
     fn budget_causes_partial_memory_reclaim() {
-        let mut hv = backend_with_usage(16_000.0);
+        let (mut hv, mut st) = backend_with_usage(16_000.0);
         let r = hv.overcommit(
+            &mut st,
             SimTime::ZERO,
             &ResourceVector::memory(8_192.0),
             Some(SimDuration::from_secs(2)),
@@ -195,28 +201,34 @@ mod tests {
 
     #[test]
     fn cannot_overcommit_below_zero() {
-        let mut hv = backend_with_usage(0.0);
-        let r = hv.overcommit(SimTime::ZERO, &ResourceVector::cpu(10.0), None);
+        let (mut hv, mut st) = backend_with_usage(0.0);
+        let r = hv.overcommit(&mut st, SimTime::ZERO, &ResourceVector::cpu(10.0), None);
         assert_eq!(r.reclaimed.get(ResourceKind::Cpu), 4.0);
-        let again = hv.overcommit(SimTime::ZERO, &ResourceVector::cpu(1.0), None);
+        let again = hv.overcommit(&mut st, SimTime::ZERO, &ResourceVector::cpu(1.0), None);
         assert!(again.reclaimed.is_zero());
     }
 
     #[test]
     fn release_caps_and_clears_swap() {
-        let mut hv = backend_with_usage(16_000.0);
-        hv.overcommit(SimTime::ZERO, &ResourceVector::memory(8_192.0), None);
-        assert!(hv.state().borrow().swapped_mb > 0.0);
-        let released = hv.release(SimTime::ZERO, &ResourceVector::memory(20_000.0));
+        let (mut hv, mut st) = backend_with_usage(16_000.0);
+        hv.overcommit(
+            &mut st,
+            SimTime::ZERO,
+            &ResourceVector::memory(8_192.0),
+            None,
+        );
+        assert!(st.swapped_mb > 0.0);
+        let released = hv.release(&mut st, SimTime::ZERO, &ResourceVector::memory(20_000.0));
         assert!((released.get(ResourceKind::Memory) - 8_192.0).abs() < 1e-6);
-        assert!(hv.overcommitted().is_zero());
-        assert_eq!(hv.state().borrow().total_swapped_mb(), 0.0);
+        assert!(hv.overcommitted(&st).is_zero());
+        assert_eq!(st.total_swapped_mb(), 0.0);
     }
 
     #[test]
     fn io_throttle_is_cheap() {
-        let mut hv = backend_with_usage(0.0);
+        let (mut hv, mut st) = backend_with_usage(0.0);
         let r = hv.overcommit(
+            &mut st,
             SimTime::ZERO,
             &ResourceVector::new(0.0, 0.0, 100.0, 500.0),
             None,

@@ -13,9 +13,6 @@
 //! * a bounded fraction of the page cache can be dropped to free memory;
 //! * disks and NICs never unplug ("generally unsafe").
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use deflate_core::{GuestOs, ReclaimResult, ResourceKind, ResourceVector};
 use simkit::{SimDuration, SimTime};
 
@@ -56,11 +53,15 @@ pub struct HotplugStats {
     pub memory_unplugged_mb: f64,
 }
 
-/// The full mutable state of one VM, shared between the guest model, the
-/// hypervisor backend, and the application agent.
+/// The full mutable state of one VM.
 ///
-/// The simulation is single-threaded, so the state is shared through
-/// `Rc<RefCell<_>>`; every borrow is confined to a single method.
+/// A [`Vm`](crate::Vm) owns its state as a plain field and lends it, as
+/// one `&mut VmState`, to each cascade layer in turn: the application
+/// agent, the guest model and the hypervisor backend keep no handle to
+/// it. A hosted VM's state can therefore change only through
+/// [`PhysicalServer::vm_mut`](crate::PhysicalServer::vm_mut) or the
+/// server's own deflate and reinflate calls, all of which bump the
+/// server's version.
 #[derive(Debug)]
 pub struct VmState {
     /// Nominal (maximum) resource allocation.
@@ -89,9 +90,6 @@ pub struct VmState {
     pub hotplug: HotplugStats,
 }
 
-/// Shared handle to a VM's state.
-pub type SharedVmState = Rc<RefCell<VmState>>;
-
 impl VmState {
     /// Creates state for a freshly-booted VM with the given spec.
     pub fn new(spec: ResourceVector) -> Self {
@@ -107,11 +105,6 @@ impl VmState {
             pinned_vcpus: 0,
             hotplug: HotplugStats::default(),
         }
-    }
-
-    /// Wraps new state in a shared handle.
-    pub fn shared(spec: ResourceVector) -> SharedVmState {
-        Rc::new(RefCell::new(VmState::new(spec)))
     }
 
     /// What the guest OS sees (spec minus unplugged).
@@ -250,33 +243,23 @@ impl Default for GuestConfig {
     }
 }
 
-/// The guest-OS layer of one VM. Implements [`GuestOs`].
+/// The guest-OS layer of one VM: its configuration and latency model.
+/// Implements [`GuestOs`] over the [`VmState`] the caller lends it.
 #[derive(Debug)]
 pub struct GuestModel {
-    state: SharedVmState,
     cfg: GuestConfig,
     latency: LatencyModel,
 }
 
 impl GuestModel {
-    /// Creates a guest model over shared VM state.
-    pub fn new(state: SharedVmState, cfg: GuestConfig, latency: LatencyModel) -> Self {
-        GuestModel {
-            state,
-            cfg,
-            latency,
-        }
-    }
-
-    /// Shared state handle (for tests and wiring).
-    pub fn state(&self) -> SharedVmState {
-        Rc::clone(&self.state)
+    /// Creates a guest model.
+    pub fn new(cfg: GuestConfig, latency: LatencyModel) -> Self {
+        GuestModel { cfg, latency }
     }
 }
 
-impl GuestOs for GuestModel {
-    fn unpluggable(&self) -> ResourceVector {
-        let st = self.state.borrow();
+impl GuestOs<VmState> for GuestModel {
+    fn unpluggable(&self, st: &VmState) -> ResourceVector {
         let online = st.online_vcpus();
         let keep = 1u32.max(st.pinned_vcpus);
         let cpus = f64::from(online.saturating_sub(keep));
@@ -298,12 +281,12 @@ impl GuestOs for GuestModel {
 
     fn try_unplug(
         &mut self,
+        st: &mut VmState,
         _now: SimTime,
         target: &ResourceVector,
         budget: Option<SimDuration>,
     ) -> ReclaimResult {
-        let cap = self.unpluggable();
-        let mut st = self.state.borrow_mut();
+        let cap = self.unpluggable(st);
         let mut latency = SimDuration::ZERO;
         let mut got = ResourceVector::ZERO;
 
@@ -381,8 +364,12 @@ impl GuestOs for GuestModel {
         ReclaimResult::new(got, latency)
     }
 
-    fn hot_plug(&mut self, _now: SimTime, amount: &ResourceVector) -> ResourceVector {
-        let mut st = self.state.borrow_mut();
+    fn hot_plug(
+        &mut self,
+        st: &mut VmState,
+        _now: SimTime,
+        amount: &ResourceVector,
+    ) -> ResourceVector {
         // CPUs plug back in whole units; memory in any amount. A balloon
         // deflates before unplugged memory is re-plugged.
         let cpus = amount
@@ -411,25 +398,21 @@ mod tests {
         ResourceVector::new(4.0, 16_384.0, 200.0, 1_000.0)
     }
 
-    fn guest_with_usage(mem_used: f64, cache: f64) -> GuestModel {
-        let state = VmState::shared(spec());
-        {
-            let mut st = state.borrow_mut();
-            st.usage.memory_mb = mem_used;
-            st.page_cache_mb = cache;
-        }
-        GuestModel::new(state, GuestConfig::default(), LatencyModel::default())
+    fn guest_with_usage(mem_used: f64, cache: f64) -> (GuestModel, VmState) {
+        let mut st = VmState::new(spec());
+        st.usage.memory_mb = mem_used;
+        st.page_cache_mb = cache;
+        (
+            GuestModel::new(GuestConfig::default(), LatencyModel::default()),
+            st,
+        )
     }
 
     #[test]
     fn visible_and_effective_accounting() {
-        let state = VmState::shared(spec());
-        {
-            let mut st = state.borrow_mut();
-            st.unplugged = ResourceVector::new(1.0, 2_048.0, 0.0, 0.0);
-            st.overcommitted = ResourceVector::new(0.5, 1_024.0, 50.0, 0.0);
-        }
-        let st = state.borrow();
+        let mut st = VmState::new(spec());
+        st.unplugged = ResourceVector::new(1.0, 2_048.0, 0.0, 0.0);
+        st.overcommitted = ResourceVector::new(0.5, 1_024.0, 50.0, 0.0);
         assert_eq!(
             st.visible(),
             ResourceVector::new(3.0, 14_336.0, 200.0, 1_000.0)
@@ -444,8 +427,8 @@ mod tests {
 
     #[test]
     fn unpluggable_excludes_last_cpu_and_io() {
-        let g = guest_with_usage(4_096.0, 1_000.0);
-        let cap = g.unpluggable();
+        let (g, st) = guest_with_usage(4_096.0, 1_000.0);
+        let cap = g.unpluggable(&st);
         assert_eq!(cap.get(ResourceKind::Cpu), 3.0);
         assert_eq!(cap.get(ResourceKind::DiskBw), 0.0);
         assert_eq!(cap.get(ResourceKind::NetBw), 0.0);
@@ -456,25 +439,30 @@ mod tests {
 
     #[test]
     fn pinned_vcpus_refuse_unplug() {
-        let g = guest_with_usage(0.0, 0.0);
-        g.state().borrow_mut().pinned_vcpus = 3;
-        assert_eq!(g.unpluggable().get(ResourceKind::Cpu), 1.0);
-        g.state().borrow_mut().pinned_vcpus = 6;
-        assert_eq!(g.unpluggable().get(ResourceKind::Cpu), 0.0);
+        let (g, mut st) = guest_with_usage(0.0, 0.0);
+        st.pinned_vcpus = 3;
+        assert_eq!(g.unpluggable(&st).get(ResourceKind::Cpu), 1.0);
+        st.pinned_vcpus = 6;
+        assert_eq!(g.unpluggable(&st).get(ResourceKind::Cpu), 0.0);
     }
 
     #[test]
     fn unplug_is_integral_for_cpus() {
-        let mut g = guest_with_usage(0.0, 0.0);
-        let r = g.try_unplug(SimTime::ZERO, &ResourceVector::cpu(2.7), None);
+        let (mut g, mut st) = guest_with_usage(0.0, 0.0);
+        let r = g.try_unplug(&mut st, SimTime::ZERO, &ResourceVector::cpu(2.7), None);
         assert_eq!(r.reclaimed.get(ResourceKind::Cpu), 2.0);
-        assert_eq!(g.state().borrow().online_vcpus(), 2);
+        assert_eq!(st.online_vcpus(), 2);
     }
 
     #[test]
     fn unplug_memory_capped_by_free() {
-        let mut g = guest_with_usage(12_288.0, 0.0); // 4 GiB free.
-        let r = g.try_unplug(SimTime::ZERO, &ResourceVector::memory(8_192.0), None);
+        let (mut g, mut st) = guest_with_usage(12_288.0, 0.0); // 4 GiB free.
+        let r = g.try_unplug(
+            &mut st,
+            SimTime::ZERO,
+            &ResourceVector::memory(8_192.0),
+            None,
+        );
         let got = r.reclaimed.get(ResourceKind::Memory);
         assert!((got - 0.95 * 4_096.0).abs() < 1e-6, "got {got}");
         assert!(r.latency > SimDuration::ZERO);
@@ -482,9 +470,10 @@ mod tests {
 
     #[test]
     fn unplug_budget_limits_memory() {
-        let mut g = guest_with_usage(0.0, 0.0);
+        let (mut g, mut st) = guest_with_usage(0.0, 0.0);
         // 1 s budget at 4000 MB/s => at most 4000 MB.
         let r = g.try_unplug(
+            &mut st,
             SimTime::ZERO,
             &ResourceVector::memory(10_000.0),
             Some(SimDuration::from_secs(1)),
@@ -496,38 +485,52 @@ mod tests {
 
     #[test]
     fn unplug_drops_page_cache_when_free_insufficient() {
-        let mut g = guest_with_usage(15_000.0, 1_000.0);
+        let (mut g, mut st) = guest_with_usage(15_000.0, 1_000.0);
         // free = 384; frag-capped 364.8; cache droppable 800.
-        let r = g.try_unplug(SimTime::ZERO, &ResourceVector::memory(1_000.0), None);
+        let r = g.try_unplug(
+            &mut st,
+            SimTime::ZERO,
+            &ResourceVector::memory(1_000.0),
+            None,
+        );
         let got = r.reclaimed.get(ResourceKind::Memory);
         assert!(got > 900.0, "got {got}");
-        assert!(g.state().borrow().page_cache_mb < 1_000.0);
+        assert!(st.page_cache_mb < 1_000.0);
     }
 
     #[test]
     fn hot_plug_returns_only_what_was_unplugged() {
-        let mut g = guest_with_usage(0.0, 0.0);
+        let (mut g, mut st) = guest_with_usage(0.0, 0.0);
         g.try_unplug(
+            &mut st,
             SimTime::ZERO,
             &ResourceVector::new(2.0, 4_096.0, 0.0, 0.0),
             None,
         );
-        let back = g.hot_plug(SimTime::ZERO, &ResourceVector::new(3.0, 10_000.0, 0.0, 0.0));
+        let back = g.hot_plug(
+            &mut st,
+            SimTime::ZERO,
+            &ResourceVector::new(3.0, 10_000.0, 0.0, 0.0),
+        );
         assert_eq!(back.get(ResourceKind::Cpu), 2.0);
         assert!((back.get(ResourceKind::Memory) - 4_096.0).abs() < 1e-6);
-        assert!(g.state().borrow().unplugged.is_zero());
+        assert!(st.unplugged.is_zero());
     }
 
     #[test]
     fn hotplug_stats_track_attempts_and_shortfalls() {
-        let mut g = guest_with_usage(12_288.0, 0.0); // 4 GiB free.
-                                                     // Asks for more than is unpluggable: counts as a shortfall.
-        g.try_unplug(SimTime::ZERO, &ResourceVector::memory(8_192.0), None);
+        let (mut g, mut st) = guest_with_usage(12_288.0, 0.0); // 4 GiB free.
+                                                               // Asks for more than is unpluggable: counts as a shortfall.
+        g.try_unplug(
+            &mut st,
+            SimTime::ZERO,
+            &ResourceVector::memory(8_192.0),
+            None,
+        );
         // Fully satisfiable CPU unplug: no shortfall.
-        g.try_unplug(SimTime::ZERO, &ResourceVector::cpu(2.0), None);
-        g.hot_plug(SimTime::ZERO, &ResourceVector::cpu(2.0));
-        let st = g.state();
-        let stats = st.borrow().hotplug;
+        g.try_unplug(&mut st, SimTime::ZERO, &ResourceVector::cpu(2.0), None);
+        g.hot_plug(&mut st, SimTime::ZERO, &ResourceVector::cpu(2.0));
+        let stats = st.hotplug;
         assert_eq!(stats.unplug_attempts, 2);
         assert_eq!(stats.unplug_shortfalls, 1);
         assert_eq!(stats.plug_ops, 1);
@@ -537,25 +540,22 @@ mod tests {
 
     #[test]
     fn recompute_swap_drops_cache_first() {
-        let state = VmState::shared(spec());
-        {
-            let mut st = state.borrow_mut();
-            st.usage.memory_mb = 10_000.0;
-            st.page_cache_mb = 4_000.0;
-            st.overcommitted = ResourceVector::memory(8_192.0); // Effective 8192.
-            st.recompute_swap();
-            // Cache squeezed to 0 (10 000 used > 8 192 effective)…
-            assert_eq!(st.page_cache_mb, 0.0);
-            // …and the overflow of RSS swaps.
-            assert!((st.swapped_mb - (10_000.0 - 8_192.0)).abs() < 1e-6);
-        }
+        let mut st = VmState::new(spec());
+        st.usage.memory_mb = 10_000.0;
+        st.page_cache_mb = 4_000.0;
+        st.overcommitted = ResourceVector::memory(8_192.0); // Effective 8192.
+        st.recompute_swap();
+        // Cache squeezed to 0 (10 000 used > 8 192 effective)…
+        assert_eq!(st.page_cache_mb, 0.0);
+        // …and the overflow of RSS swaps.
+        assert!((st.swapped_mb - (10_000.0 - 8_192.0)).abs() < 1e-6);
     }
 
     #[test]
     fn deflation_fraction_tracks_effective() {
-        let state = VmState::shared(spec());
-        state.borrow_mut().overcommitted = ResourceVector::new(2.0, 8_192.0, 100.0, 500.0);
-        let f = state.borrow().deflation_fraction();
+        let mut st = VmState::new(spec());
+        st.overcommitted = ResourceVector::new(2.0, 8_192.0, 100.0, 500.0);
+        let f = st.deflation_fraction();
         for k in ResourceKind::ALL {
             assert!((f.get(k) - 0.5).abs() < 1e-9, "{k}: {}", f.get(k));
         }
@@ -563,17 +563,20 @@ mod tests {
 
     #[test]
     fn balloon_reclaims_without_resizing_guest() {
-        let state = VmState::shared(spec());
-        state.borrow_mut().usage.memory_mb = 6_144.0;
+        let mut st = VmState::new(spec());
+        st.usage.memory_mb = 6_144.0;
         let cfg = GuestConfig {
             memory_mechanism: MemoryMechanism::Balloon,
             ..GuestConfig::default()
         };
-        let mut g = GuestModel::new(state, cfg, LatencyModel::default());
-        let r = g.try_unplug(SimTime::ZERO, &ResourceVector::memory(8_192.0), None);
+        let mut g = GuestModel::new(cfg, LatencyModel::default());
+        let r = g.try_unplug(
+            &mut st,
+            SimTime::ZERO,
+            &ResourceVector::memory(8_192.0),
+            None,
+        );
         assert!((r.reclaimed.get(ResourceKind::Memory) - 8_192.0).abs() < 1e-6);
-        let st = g.state();
-        let st = st.borrow();
         // The guest still sees its full allocation…
         assert_eq!(st.visible_memory_mb(), 16_384.0);
         // …but the effective memory shrank.
@@ -584,52 +587,52 @@ mod tests {
     #[test]
     fn balloon_reaches_all_free_but_slower() {
         let mk = |mech| {
-            let state = VmState::shared(spec());
-            state.borrow_mut().usage.memory_mb = 6_144.0;
-            GuestModel::new(
-                state,
-                GuestConfig {
-                    memory_mechanism: mech,
-                    ..GuestConfig::default()
-                },
-                LatencyModel::default(),
-            )
+            let mut st = VmState::new(spec());
+            st.usage.memory_mb = 6_144.0;
+            let cfg = GuestConfig {
+                memory_mechanism: mech,
+                ..GuestConfig::default()
+            };
+            (GuestModel::new(cfg, LatencyModel::default()), st)
         };
-        let hot = mk(MemoryMechanism::Hotplug);
-        let bal = mk(MemoryMechanism::Balloon);
+        let (mut hot, mut st_hot) = mk(MemoryMechanism::Hotplug);
+        let (mut bal, mut st_bal) = mk(MemoryMechanism::Balloon);
         // free = 10 240: balloon reaches all of it, hotplug only the
         // fragmentation-limited share.
         assert!(
-            bal.unpluggable().get(ResourceKind::Memory)
-                > hot.unpluggable().get(ResourceKind::Memory)
+            bal.unpluggable(&st_bal).get(ResourceKind::Memory)
+                > hot.unpluggable(&st_hot).get(ResourceKind::Memory)
         );
         // Same amount takes longer via the balloon.
-        let mut hot = hot;
-        let mut bal = bal;
         let target = ResourceVector::memory(4_096.0);
-        let rh = hot.try_unplug(SimTime::ZERO, &target, None);
-        let rb = bal.try_unplug(SimTime::ZERO, &target, None);
+        let rh = hot.try_unplug(&mut st_hot, SimTime::ZERO, &target, None);
+        let rb = bal.try_unplug(&mut st_bal, SimTime::ZERO, &target, None);
         assert!(rb.latency > rh.latency);
     }
 
     #[test]
     fn balloon_deflates_on_hot_plug() {
-        let state = VmState::shared(spec());
+        let mut st = VmState::new(spec());
         let cfg = GuestConfig {
             memory_mechanism: MemoryMechanism::Balloon,
             ..GuestConfig::default()
         };
-        let mut g = GuestModel::new(state, cfg, LatencyModel::default());
-        g.try_unplug(SimTime::ZERO, &ResourceVector::memory(6_000.0), None);
-        let back = g.hot_plug(SimTime::ZERO, &ResourceVector::memory(10_000.0));
+        let mut g = GuestModel::new(cfg, LatencyModel::default());
+        g.try_unplug(
+            &mut st,
+            SimTime::ZERO,
+            &ResourceVector::memory(6_000.0),
+            None,
+        );
+        let back = g.hot_plug(&mut st, SimTime::ZERO, &ResourceVector::memory(10_000.0));
         assert!((back.get(ResourceKind::Memory) - 6_000.0).abs() < 1e-6);
-        assert_eq!(g.state().borrow().ballooned_mb, 0.0);
+        assert_eq!(st.ballooned_mb, 0.0);
     }
 
     #[test]
     fn zero_effective_cpu_ratio_is_infinite() {
-        let state = VmState::shared(spec());
-        state.borrow_mut().overcommitted = ResourceVector::cpu(4.0);
-        assert!(state.borrow().cpu_overcommit_ratio().is_infinite());
+        let mut st = VmState::new(spec());
+        st.overcommitted = ResourceVector::cpu(4.0);
+        assert!(st.cpu_overcommit_ratio().is_infinite());
     }
 }

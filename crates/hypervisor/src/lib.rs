@@ -16,8 +16,10 @@
 //!   incremental memory-reclaim control loop.
 //! * [`latency::LatencyModel`] — how long each mechanism takes; memory
 //!   dominates (Fig. 8b).
-//! * [`vm::Vm`] — a deflatable VM binding a guest and a backend, exposing
-//!   the [`vm::VmResourceView`] that application performance models consume
+//! * [`vm::Vm`] — a deflatable VM that owns its [`guest::VmState`] and
+//!   lends it, one `&mut` at a time, to the application agent, the guest
+//!   model and the backend during a cascade. It exposes the
+//!   [`vm::VmResourceView`] that application performance models consume
 //!   (effective CPUs, CPU overcommit ratio for lock-holder-preemption
 //!   penalties, swapped memory, ...).
 //! * [`server::PhysicalServer`] — a host with capacity accounting, and

@@ -259,15 +259,12 @@ impl<'s> MigrationSession<'s> {
     /// `max_rounds` fires. The residue then ships in the blackout
     /// window. Pure planning — no server state changes.
     pub fn precopy(&mut self) -> PrecopyPlan {
-        let (used, cache) = {
-            let state = self
-                .src
-                .vm(self.vm)
-                .expect("begin() checked the VM is hosted")
-                .state();
-            let st = state.borrow();
-            (st.usage.memory_mb, st.page_cache_mb)
-        };
+        let st = self
+            .src
+            .vm(self.vm)
+            .expect("begin() checked the VM is hosted")
+            .state();
+        let (used, cache) = (st.usage.memory_mb, st.page_cache_mb);
         let plan = precopy_schedule(&self.cfg, used, cache);
         self.plan = Some(plan);
         plan

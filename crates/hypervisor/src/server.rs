@@ -153,9 +153,9 @@ pub struct PhysicalServer {
     /// `set_up`, and `vm_mut`, the only way to change a guest's usage).
     /// Caches such as the cluster placement index and the distress
     /// sampler compare this against their stored value to skip untouched
-    /// servers. `Vm::state()` still hands out the shared guest state
-    /// without a bump, so a caller that mutates through it bypasses the
-    /// counter.
+    /// servers. A hosted guest's state is owned by its `Vm`, which is
+    /// reachable mutably only through `&mut self`, so no guest change can
+    /// bypass the counter.
     version: u64,
 }
 
@@ -384,7 +384,7 @@ impl PhysicalServer {
         self.version += 1;
         let priority = vm.priority();
         let before = vm.effective();
-        let out = vm.deflate(now, target, cfg);
+        let out = vm.deflate(now, target, cfg, None);
         let after = vm.effective();
         self.agg.effective_changed(priority, &before, &after);
         self.debug_check();
@@ -404,7 +404,7 @@ impl PhysicalServer {
         self.version += 1;
         let priority = vm.priority();
         let before = vm.effective();
-        let got = vm.reinflate(now, amount);
+        let got = vm.reinflate(now, amount, None);
         let after = vm.effective();
         self.agg.effective_changed(priority, &before, &after);
         self.debug_check();

@@ -58,6 +58,13 @@ thread_local! {
 /// Total [`ReclaimSession`]s leaked (dropped without `commit` or
 /// `rollback`) on the calling thread. The cluster manager polls the
 /// delta into its `cluster.session_leaked` counter.
+///
+/// The count is per thread, so it can under-report when work moves
+/// between threads: the sharded simulator runs each cell on whichever
+/// worker thread picks it up in an epoch, and a leak recorded on one
+/// worker is not seen by a manager that polls from another. It only
+/// registers on a session-leak bug, which debug builds catch by
+/// panicking at the leak site.
 pub fn leaked_sessions() -> u64 {
     LEAKED.with(|c| c.get())
 }

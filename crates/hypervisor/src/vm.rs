@@ -1,5 +1,5 @@
-//! A deflatable virtual machine: guest model + hypervisor backend +
-//! optional application deflation agent.
+//! A deflatable virtual machine: its guest state, plus the configuration
+//! of the guest and hypervisor layers that deflate it.
 
 use deflate_core::{
     cascade, ApplicationAgent, CascadeConfig, CascadeOutcome, ResourceVector, VmId,
@@ -7,7 +7,7 @@ use deflate_core::{
 use simkit::SimTime;
 
 use crate::backend::HvBackend;
-use crate::guest::{GuestConfig, GuestModel, SharedVmState, VmState};
+use crate::guest::{GuestConfig, GuestModel, VmState};
 use crate::latency::LatencyModel;
 
 /// Scheduling class of a VM (paper §2.1): high-priority VMs are never
@@ -45,6 +45,41 @@ pub struct VmResourceView {
 }
 
 /// A deflatable VM.
+///
+/// The VM owns its [`VmState`]. Reading it needs `&Vm` and changing it
+/// needs `&mut Vm`, so the state of a VM hosted on a
+/// [`PhysicalServer`](crate::PhysicalServer) can change only through
+/// `&mut PhysicalServer`, which bumps the server's version. An
+/// application deflation agent is not part of the VM: callers that
+/// model one lend it to [`deflate`](Self::deflate) and
+/// [`reinflate`](Self::reinflate).
+///
+/// Reaching a hosted guest's state through `&PhysicalServer` gives
+/// read-only access:
+///
+/// ```compile_fail,E0596
+/// use deflate_core::{ResourceVector, ServerId, VmId};
+/// use hypervisor::{PhysicalServer, Vm, VmPriority};
+///
+/// let mut server = PhysicalServer::new(ServerId(0), ResourceVector::new(8.0, 32_768.0, 400.0, 2_000.0));
+/// server.add_vm(Vm::new(VmId(1), ResourceVector::new(2.0, 4_096.0, 100.0, 500.0), VmPriority::Low));
+/// let shared: &PhysicalServer = &server;
+/// shared.vm(VmId(1)).unwrap().state_mut().usage.memory_mb = 1_024.0;
+/// ```
+///
+/// and a view of the state cannot outlive a mutable borrow of its server:
+///
+/// ```compile_fail,E0502
+/// use deflate_core::{ResourceVector, ServerId, VmId};
+/// use hypervisor::{PhysicalServer, Vm, VmPriority};
+///
+/// let mut server = PhysicalServer::new(ServerId(0), ResourceVector::new(8.0, 32_768.0, 400.0, 2_000.0));
+/// server.add_vm(Vm::new(VmId(1), ResourceVector::new(2.0, 4_096.0, 100.0, 500.0), VmPriority::Low));
+/// let state = server.vm(VmId(1)).unwrap().state();
+/// server.vm_mut(VmId(1)).unwrap().set_usage(1_024.0, 1.0);
+/// assert_eq!(state.usage.memory_mb, 1_024.0);
+/// ```
+#[derive(Debug)]
 pub struct Vm {
     id: VmId,
     priority: VmPriority,
@@ -53,25 +88,13 @@ pub struct Vm {
     /// cascade runs with `CascadeConfig::working_set_floor`; unlike `min`
     /// it is advisory, so it never feeds preemption decisions.
     memory_floor_mb: f64,
-    state: SharedVmState,
-    guest: GuestModel,
-    backend: HvBackend,
-    agent: Option<Box<dyn ApplicationAgent>>,
-}
-
-impl std::fmt::Debug for Vm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Vm")
-            .field("id", &self.id)
-            .field("priority", &self.priority)
-            .field("spec", &self.state.borrow().spec)
-            .field("agent", &self.agent.as_ref().map(|a| a.name().to_string()))
-            .finish()
-    }
+    state: VmState,
+    guest: GuestConfig,
+    latency: LatencyModel,
 }
 
 impl Vm {
-    /// Creates a VM with the default guest/latency models and no agent.
+    /// Creates a VM with the default guest/latency models.
     pub fn new(id: VmId, spec: ResourceVector, priority: VmPriority) -> Self {
         Vm::with_models(
             id,
@@ -90,26 +113,15 @@ impl Vm {
         guest_cfg: GuestConfig,
         latency: LatencyModel,
     ) -> Self {
-        let state = VmState::shared(spec);
-        let guest = GuestModel::new(SharedVmState::clone(&state), guest_cfg, latency);
-        let backend = HvBackend::new(SharedVmState::clone(&state), latency);
         Vm {
             id,
             priority,
             min: ResourceVector::ZERO,
             memory_floor_mb: 0.0,
-            state,
-            guest,
-            backend,
-            agent: None,
+            state: VmState::new(spec),
+            guest: guest_cfg,
+            latency,
         }
-    }
-
-    /// Attaches an application deflation agent (Table 1); returns `self`
-    /// for builder-style construction.
-    pub fn with_agent(mut self, agent: Box<dyn ApplicationAgent>) -> Self {
-        self.agent = Some(agent);
-        self
     }
 
     /// Sets the minimum size below which the VM must be preempted instead
@@ -149,12 +161,12 @@ impl Vm {
 
     /// The VM's nominal allocation.
     pub fn spec(&self) -> ResourceVector {
-        self.state.borrow().spec
+        self.state.spec
     }
 
     /// The VM's current effective allocation.
     pub fn effective(&self) -> ResourceVector {
-        self.state.borrow().effective()
+        self.state.effective()
     }
 
     /// Whether this VM can be deflated at all.
@@ -171,20 +183,28 @@ impl Vm {
         }
     }
 
-    /// Shared VM state, for wiring application models.
-    pub fn state(&self) -> SharedVmState {
-        SharedVmState::clone(&self.state)
+    /// The guest's state.
+    pub fn state(&self) -> &VmState {
+        &self.state
+    }
+
+    /// The guest's state, mutably, for application models that set their
+    /// usage. A hosted VM is reached mutably only through
+    /// [`PhysicalServer::vm_mut`](crate::PhysicalServer::vm_mut), which
+    /// bumps the server's version.
+    pub fn state_mut(&mut self) -> &mut VmState {
+        &mut self.state
     }
 
     /// Snapshot of the guest's hot-plug/unplug counters, for folding into
     /// a metrics registry.
     pub fn hotplug_stats(&self) -> crate::guest::HotplugStats {
-        self.state.borrow().hotplug
+        self.state.hotplug
     }
 
     /// Snapshot of the resource situation for performance models.
     pub fn view(&self) -> VmResourceView {
-        let st = self.state.borrow();
+        let st = &self.state;
         VmResourceView {
             spec: st.spec,
             visible: st.visible(),
@@ -197,7 +217,8 @@ impl Vm {
         }
     }
 
-    /// Runs cascade deflation against this VM.
+    /// Runs cascade deflation against this VM, asking `app` (the
+    /// application's deflation agent, Table 1) first when given.
     ///
     /// High-priority VMs are never deflated; the call returns an outcome
     /// whose shortfall equals the whole target.
@@ -206,6 +227,7 @@ impl Vm {
         now: SimTime,
         target: &ResourceVector,
         cfg: &CascadeConfig,
+        app: Option<&mut dyn ApplicationAgent<VmState>>,
     ) -> CascadeOutcome {
         if !self.deflatable() {
             return CascadeOutcome {
@@ -240,39 +262,40 @@ impl Vm {
         cascade::deflate_vm(
             now,
             &target,
-            self.agent
-                .as_deref_mut()
-                .map(|a| a as &mut dyn ApplicationAgent),
-            &mut self.guest,
-            &mut self.backend,
+            &mut self.state,
+            app,
+            &mut GuestModel::new(self.guest, self.latency),
+            &mut HvBackend::new(self.latency),
             cfg,
         )
     }
 
-    /// Returns `amount` of resources to the VM via the reverse cascade.
-    pub fn reinflate(&mut self, now: SimTime, amount: &ResourceVector) -> ResourceVector {
+    /// Returns `amount` of resources to the VM via the reverse cascade,
+    /// telling `app` (the application's deflation agent) what came back.
+    pub fn reinflate(
+        &mut self,
+        now: SimTime,
+        amount: &ResourceVector,
+        app: Option<&mut dyn ApplicationAgent<VmState>>,
+    ) -> ResourceVector {
         cascade::reinflate_vm(
             now,
             amount,
-            self.agent
-                .as_deref_mut()
-                .map(|a| a as &mut dyn ApplicationAgent),
-            &mut self.guest,
-            &mut self.backend,
+            &mut self.state,
+            app,
+            &mut GuestModel::new(self.guest, self.latency),
+            &mut HvBackend::new(self.latency),
         )
     }
 
     /// Overall deflation fraction of the dominant dimension, for traces.
     pub fn max_deflation(&self) -> f64 {
-        self.state.borrow().deflation_fraction().max_component()
+        self.state.deflation_fraction().max_component()
     }
 
-    /// Convenience: set application usage on the shared state. Takes
-    /// `&mut self` so a hosted guest's usage can only change through
-    /// [`PhysicalServer::vm_mut`](crate::PhysicalServer::vm_mut), which
-    /// bumps the server's version.
+    /// Convenience: set the application's memory and CPU usage.
     pub fn set_usage(&mut self, memory_mb: f64, busy_vcpus: f64) {
-        let mut st = self.state.borrow_mut();
+        let st = &mut self.state;
         st.usage.memory_mb = memory_mb;
         st.usage.busy_vcpus = busy_vcpus;
         st.recompute_swap();
@@ -296,6 +319,7 @@ mod tests {
             SimTime::ZERO,
             &ResourceVector::cpu(2.0),
             &CascadeConfig::FULL,
+            None,
         );
         assert!(out.total_reclaimed.is_zero());
         assert_eq!(out.shortfall, ResourceVector::cpu(2.0));
@@ -307,7 +331,7 @@ mod tests {
         let mut vm = Vm::new(VmId(1), spec(), VmPriority::Low);
         vm.set_usage(4_096.0, 1.0);
         let target = spec().scale(0.5);
-        let out = vm.deflate(SimTime::ZERO, &target, &CascadeConfig::VM_LEVEL);
+        let out = vm.deflate(SimTime::ZERO, &target, &CascadeConfig::VM_LEVEL, None);
         assert!(out.met_target(), "shortfall {}", out.shortfall);
         let eff = vm.effective();
         assert!(eff.approx_eq(&spec().scale(0.5), 1e-6), "eff {eff}");
@@ -317,7 +341,12 @@ mod tests {
     fn deflation_respects_min_size() {
         let min = spec().scale(0.75);
         let mut vm = Vm::new(VmId(1), spec(), VmPriority::Low).with_min(min);
-        let out = vm.deflate(SimTime::ZERO, &spec().scale(0.5), &CascadeConfig::VM_LEVEL);
+        let out = vm.deflate(
+            SimTime::ZERO,
+            &spec().scale(0.5),
+            &CascadeConfig::VM_LEVEL,
+            None,
+        );
         // Only 25 % of spec was deflatable.
         assert!(out.total_reclaimed.approx_eq(&spec().scale(0.25), 1e-6));
         assert!(vm.effective().dominates(&min));
@@ -329,7 +358,7 @@ mod tests {
         // reclaimable under a floor-honoring cascade.
         let cfg = CascadeConfig::VM_LEVEL.with_working_set_floor(true);
         let mut vm = Vm::new(VmId(1), spec(), VmPriority::Low).with_memory_floor(12_288.0);
-        let out = vm.deflate(SimTime::ZERO, &ResourceVector::memory(8_192.0), &cfg);
+        let out = vm.deflate(SimTime::ZERO, &ResourceVector::memory(8_192.0), &cfg, None);
         assert!(
             vm.effective().get(ResourceKind::Memory) >= 12_288.0 - 1e-6,
             "floor violated: {}",
@@ -343,6 +372,7 @@ mod tests {
             SimTime::ZERO,
             &ResourceVector::memory(8_192.0),
             &CascadeConfig::VM_LEVEL,
+            None,
         );
         assert!(vm.effective().get(ResourceKind::Memory) <= 8_192.0 + 1e-6);
     }
@@ -352,9 +382,9 @@ mod tests {
         let mut vm = Vm::new(VmId(1), spec(), VmPriority::Low);
         vm.set_usage(2_048.0, 0.5);
         let target = spec().scale(0.4);
-        let _ = vm.deflate(SimTime::ZERO, &target, &CascadeConfig::VM_LEVEL);
+        let _ = vm.deflate(SimTime::ZERO, &target, &CascadeConfig::VM_LEVEL, None);
         let before = vm.effective();
-        let got = vm.reinflate(SimTime::from_secs(60), &target);
+        let got = vm.reinflate(SimTime::from_secs(60), &target, None);
         assert!(got.approx_eq(&target, 1e-6), "got {got}");
         assert!(vm.effective().dominates(&before));
         assert!(vm.effective().approx_eq(&spec(), 1e-6));
@@ -369,6 +399,7 @@ mod tests {
             SimTime::ZERO,
             &ResourceVector::cpu(2.0),
             &CascadeConfig::HYPERVISOR_ONLY,
+            None,
         );
         let v = vm.view();
         assert_eq!(v.online_vcpus, 4);
@@ -383,6 +414,7 @@ mod tests {
             SimTime::ZERO,
             &ResourceVector::cpu(2.0),
             &CascadeConfig::OS_ONLY,
+            None,
         );
         let v = vm.view();
         assert_eq!(v.online_vcpus, 2);
@@ -397,6 +429,7 @@ mod tests {
             SimTime::ZERO,
             &ResourceVector::memory(8_192.0),
             &CascadeConfig::VM_LEVEL,
+            None,
         );
         assert!(out.latency > SimDuration::ZERO);
     }

@@ -24,51 +24,44 @@ struct Op {
     a: f64,
 }
 
-fn apply(g: &mut GuestModel, op: Op) {
-    let st = g.state();
+fn apply(g: &mut GuestModel, st: &mut VmState, op: Op) {
     match op.kind % 6 {
         0 => {
             // Application RSS moves anywhere in [0, 1.2 × spec] — the
             // overshoot exercises the OOM / forced-swap regime.
-            let mut st = st.borrow_mut();
             st.usage.memory_mb = op.a * SPEC_MEM * 1.2;
             st.recompute_swap();
         }
         1 => {
             // OS-level unplug (memory + sometimes a vCPU).
             let target = ResourceVector::new((op.a * 4.0).floor(), op.a * SPEC_MEM, 0.0, 0.0);
-            g.try_unplug(SimTime::ZERO, &target, None);
+            g.try_unplug(st, SimTime::ZERO, &target, None);
         }
         2 => {
             // Hot-plug back a chunk of whatever was taken.
             let amount = ResourceVector::new(4.0, op.a * SPEC_MEM, 0.0, 0.0);
-            g.hot_plug(SimTime::ZERO, &amount);
+            g.hot_plug(st, SimTime::ZERO, &amount);
         }
         3 => {
             // Hypervisor overcommitment moves within [0, visible].
-            let mut st = st.borrow_mut();
             let visible = st.visible_memory_mb();
             st.overcommitted = st.overcommitted.with(ResourceKind::Memory, op.a * visible);
             st.recompute_swap();
         }
         4 => {
             // I/O grows the page cache; recompute clamps it to room.
-            let mut st = st.borrow_mut();
             st.page_cache_mb += op.a * 4_096.0;
             st.recompute_swap();
         }
         _ => {
             // Black-box host reclamation blindly swaps app pages.
-            let mut st = st.borrow_mut();
             st.blind_swapped_mb += op.a * 4_096.0;
             st.recompute_swap();
         }
     }
 }
 
-fn assert_swap_invariants(g: &GuestModel) {
-    let st = g.state();
-    let st = st.borrow();
+fn assert_swap_invariants(st: &VmState) {
     assert!(st.swapped_mb >= 0.0, "negative swap: {}", st.swapped_mb);
     assert!(
         st.blind_swapped_mb >= 0.0,
@@ -131,10 +124,11 @@ fn run_sequence(raw: &[(u8, f64)], force_unplug: bool, balloon: bool) {
         },
         ..GuestConfig::default()
     };
-    let mut g = GuestModel::new(VmState::shared(spec()), cfg, LatencyModel::default());
+    let mut g = GuestModel::new(cfg, LatencyModel::default());
+    let mut st = VmState::new(spec());
     for &(kind, a) in raw {
-        apply(&mut g, Op { kind, a });
-        assert_swap_invariants(&g);
+        apply(&mut g, &mut st, Op { kind, a });
+        assert_swap_invariants(&st);
     }
 }
 
@@ -158,13 +152,19 @@ fn forced_unplug_can_oom_but_never_negative() {
         force_unplug: true,
         ..GuestConfig::default()
     };
-    let mut g = GuestModel::new(VmState::shared(spec()), cfg, LatencyModel::default());
-    g.state().borrow_mut().usage.memory_mb = 12_000.0;
-    g.state().borrow_mut().recompute_swap();
-    g.try_unplug(SimTime::ZERO, &ResourceVector::memory(15_000.0), None);
-    assert_swap_invariants(&g);
-    assert!(g.state().borrow().is_oom());
-    g.hot_plug(SimTime::ZERO, &ResourceVector::memory(15_000.0));
-    assert_swap_invariants(&g);
-    assert!(!g.state().borrow().is_oom());
+    let mut g = GuestModel::new(cfg, LatencyModel::default());
+    let mut st = VmState::new(spec());
+    st.usage.memory_mb = 12_000.0;
+    st.recompute_swap();
+    g.try_unplug(
+        &mut st,
+        SimTime::ZERO,
+        &ResourceVector::memory(15_000.0),
+        None,
+    );
+    assert_swap_invariants(&st);
+    assert!(st.is_oom());
+    g.hot_plug(&mut st, SimTime::ZERO, &ResourceVector::memory(15_000.0));
+    assert_swap_invariants(&st);
+    assert!(!st.is_oom());
 }

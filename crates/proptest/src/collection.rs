@@ -29,7 +29,7 @@ impl From<Range<usize>> for SizeRange {
     }
 }
 
-/// The strategy returned by [`vec`].
+/// The strategy returned by [`vec`](fn@vec).
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     element: S,

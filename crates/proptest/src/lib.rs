@@ -5,7 +5,7 @@
 //! workspace's property tests actually use:
 //!
 //! * the [`proptest!`] macro (with optional `#![proptest_config(..)]`),
-//! * [`Strategy`] with `prop_map` and `boxed`,
+//! * [`Strategy`](strategy::Strategy) with `prop_map` and `boxed`,
 //! * range, tuple, `any::<T>()`, collection-`vec`, and string-pattern
 //!   strategies,
 //! * [`prop_oneof!`], [`prop_assert!`], [`prop_assert_eq!`].

@@ -14,25 +14,18 @@ use deflate_core::{CascadeConfig, ResourceVector, VmId};
 use hypervisor::{Vm, VmPriority};
 use simkit::SimTime;
 
-fn aware_vm(app: &MemcachedApp, spec: ResourceVector) -> Vm {
-    let vm = Vm::new(VmId(1), spec, VmPriority::Low);
-    app.init_usage(&vm.state());
-    let agent = app.agent(vm.state());
-    vm.with_agent(Box::new(agent))
-}
-
-fn plain_vm(app: &MemcachedApp, spec: ResourceVector) -> Vm {
-    let vm = Vm::new(VmId(2), spec, VmPriority::Low);
-    app.init_usage(&vm.state());
+fn vm_running(app: &MemcachedApp, id: u64, spec: ResourceVector) -> Vm {
+    let mut vm = Vm::new(VmId(id), spec, VmPriority::Low);
+    app.init_usage(vm.state_mut());
     vm
 }
 
 fn main() {
     let spec = ResourceVector::new(4.0, 16_384.0, 200.0, 1_000.0);
-    let aware = MemcachedApp::new(MemcachedParams::default());
+    let mut aware = MemcachedApp::new(MemcachedParams::default());
     let plain = MemcachedApp::new(MemcachedParams::default());
-    let mut vm_aware = aware_vm(&aware, spec);
-    let mut vm_plain = plain_vm(&plain, spec);
+    let mut vm_aware = vm_running(&aware, 1, spec);
+    let mut vm_plain = vm_running(&plain, 2, spec);
 
     println!(
         "{:>6} {:>12} {:>10} {:>14} {:>12} {:>12}",
@@ -43,8 +36,8 @@ fn main() {
     let step_amount = ResourceVector::memory(2_048.0);
     for step in 1..=4 {
         let t = SimTime::from_secs(step * 60);
-        let _ = vm_aware.deflate(t, &step_amount, &CascadeConfig::FULL);
-        let _ = vm_plain.deflate(t, &step_amount, &CascadeConfig::VM_LEVEL);
+        let _ = vm_aware.deflate(t, &step_amount, &CascadeConfig::FULL, Some(&mut aware));
+        let _ = vm_plain.deflate(t, &step_amount, &CascadeConfig::VM_LEVEL, None);
         println!(
             "{:>6} {:>11.0}% {:>10.0} {:>14.1} {:>12.0} {:>12.1}",
             step,
@@ -58,8 +51,8 @@ fn main() {
 
     // Pressure subsides: give everything back.
     let back = ResourceVector::memory(8_192.0);
-    vm_aware.reinflate(SimTime::from_secs(600), &back);
-    vm_plain.reinflate(SimTime::from_secs(600), &back);
+    vm_aware.reinflate(SimTime::from_secs(600), &back, Some(&mut aware));
+    vm_plain.reinflate(SimTime::from_secs(600), &back, None);
     println!(
         "{:>6} {:>11}% {:>10.0} {:>14.1} {:>12.0} {:>12.1}",
         "reinfl",

@@ -14,11 +14,9 @@ fn main() {
     // A 4-vCPU / 16 GiB transient (low-priority, deflatable) VM running a
     // deflation-aware memcached.
     let spec = ResourceVector::new(4.0, 16_384.0, 200.0, 1_000.0);
-    let app = MemcachedApp::new(MemcachedParams::default());
-    let vm = Vm::new(VmId(1), spec, VmPriority::Low);
-    app.init_usage(&vm.state());
-    let agent = app.agent(vm.state());
-    let mut vm = vm.with_agent(Box::new(agent));
+    let mut app = MemcachedApp::new(MemcachedParams::default());
+    let mut vm = Vm::new(VmId(1), spec, VmPriority::Low);
+    app.init_usage(vm.state_mut());
 
     println!("spec:          {spec}");
     println!(
@@ -26,10 +24,11 @@ fn main() {
         app.throughput_kgets(&vm.view())
     );
 
-    // The cluster manager asks for half of everything back.
+    // The cluster manager asks for half of everything back; the app acts
+    // as its own deflation agent, the first layer of the cascade.
     let target = spec.scale(0.5);
     println!("deflation target: {target}\n");
-    let out = vm.deflate(SimTime::ZERO, &target, &CascadeConfig::FULL);
+    let out = vm.deflate(SimTime::ZERO, &target, &CascadeConfig::FULL, Some(&mut app));
 
     println!("application relinquished: {}", out.app.reclaimed);
     println!("guest OS hot-unplugged:   {}", out.os.reclaimed);
@@ -47,7 +46,7 @@ fn main() {
     );
 
     // Pressure passes: reinflate.
-    let back = vm.reinflate(SimTime::from_secs(60), &target);
+    let back = vm.reinflate(SimTime::from_secs(60), &target, Some(&mut app));
     println!("\nreinflated:               {back}");
     println!(
         "recovered GETs:           {:.1} kGETS/s",

@@ -14,7 +14,6 @@ fn spec() -> ResourceVector {
 /// Effective + unplugged + overcommitted must always equal the spec.
 fn assert_conservation(vm: &Vm) {
     let st = vm.state();
-    let st = st.borrow();
     let sum = st.effective() + st.unplugged + st.overcommitted;
     assert!(
         sum.approx_eq(&st.spec, 1e-6),
@@ -28,21 +27,19 @@ fn assert_conservation(vm: &Vm) {
 
 #[test]
 fn full_cascade_conserves_resources_through_cycles() {
-    let app = MemcachedApp::new(MemcachedParams::default());
-    let vm = Vm::new(VmId(1), spec(), VmPriority::Low);
-    app.init_usage(&vm.state());
-    let agent = app.agent(vm.state());
-    let mut vm = vm.with_agent(Box::new(agent));
+    let mut app = MemcachedApp::new(MemcachedParams::default());
+    let mut vm = Vm::new(VmId(1), spec(), VmPriority::Low);
+    app.init_usage(vm.state_mut());
 
     // Three deflate/reinflate cycles of varying sizes.
     for (i, frac) in [0.25, 0.5, 0.4].iter().enumerate() {
         let t = SimTime::from_secs(i as u64 * 100);
         let target = spec().scale(*frac);
-        let out = vm.deflate(t, &target, &CascadeConfig::FULL);
+        let out = vm.deflate(t, &target, &CascadeConfig::FULL, Some(&mut app));
         assert!(out.met_target(), "cycle {i}: shortfall {}", out.shortfall);
         assert_conservation(&vm);
 
-        let got = vm.reinflate(t + SimDuration::from_secs(50), &target);
+        let got = vm.reinflate(t + SimDuration::from_secs(50), &target, Some(&mut app));
         assert!(got.approx_eq(&target, 1e-6), "cycle {i}: got {got}");
         assert_conservation(&vm);
     }
@@ -57,7 +54,12 @@ fn full_cascade_conserves_resources_through_cycles() {
 fn layer_contributions_sum_to_total() {
     let mut vm = Vm::new(VmId(1), spec(), VmPriority::Low);
     vm.set_usage(8_192.0, 2.0);
-    let out = vm.deflate(SimTime::ZERO, &spec().scale(0.5), &CascadeConfig::VM_LEVEL);
+    let out = vm.deflate(
+        SimTime::ZERO,
+        &spec().scale(0.5),
+        &CascadeConfig::VM_LEVEL,
+        None,
+    );
     let sum = out.os.reclaimed + out.hypervisor.reclaimed;
     assert!(sum.approx_eq(&out.total_reclaimed, 1e-9));
     assert_conservation(&vm);
@@ -69,18 +71,15 @@ fn app_layer_reduces_hypervisor_involvement() {
     // the hypervisor must swap.
     let target = ResourceVector::memory(8_192.0);
 
-    let app = MemcachedApp::new(MemcachedParams::default());
-    let vm = Vm::new(VmId(1), spec(), VmPriority::Low);
-    app.init_usage(&vm.state());
-    let agent = app.agent(vm.state());
-    let mut vm_aware = vm.with_agent(Box::new(agent));
-    let out_aware = vm_aware.deflate(SimTime::ZERO, &target, &CascadeConfig::FULL);
+    let mut app = MemcachedApp::new(MemcachedParams::default());
+    let mut vm_aware = Vm::new(VmId(1), spec(), VmPriority::Low);
+    app.init_usage(vm_aware.state_mut());
+    let out_aware = vm_aware.deflate(SimTime::ZERO, &target, &CascadeConfig::FULL, Some(&mut app));
 
     let plain = MemcachedApp::new(MemcachedParams::default());
-    let vm = Vm::new(VmId(2), spec(), VmPriority::Low);
-    plain.init_usage(&vm.state());
-    let mut vm_plain = vm;
-    let out_plain = vm_plain.deflate(SimTime::ZERO, &target, &CascadeConfig::VM_LEVEL);
+    let mut vm_plain = Vm::new(VmId(2), spec(), VmPriority::Low);
+    plain.init_usage(vm_plain.state_mut());
+    let out_plain = vm_plain.deflate(SimTime::ZERO, &target, &CascadeConfig::VM_LEVEL, None);
 
     let hv_aware = out_aware.hypervisor.reclaimed.get(ResourceKind::Memory);
     let hv_plain = out_plain.hypervisor.reclaimed.get(ResourceKind::Memory);
@@ -98,7 +97,7 @@ fn deadline_bounds_latency() {
     vm.set_usage(14_000.0, 3.0);
     let deadline = SimDuration::from_secs(5);
     let cfg = CascadeConfig::VM_LEVEL.with_deadline(deadline);
-    let out = vm.deflate(SimTime::ZERO, &ResourceVector::memory(10_000.0), &cfg);
+    let out = vm.deflate(SimTime::ZERO, &ResourceVector::memory(10_000.0), &cfg, None);
     assert!(
         out.latency <= deadline + SimDuration::from_millis(1),
         "latency {} exceeds deadline",
@@ -111,16 +110,15 @@ fn deadline_bounds_latency() {
 
 #[test]
 fn jvm_agent_end_to_end_prefers_gc_over_swap() {
-    let app = JvmApp::new(JvmParams::default());
-    let vm = Vm::new(VmId(1), spec(), VmPriority::Low);
-    app.init_usage(&vm.state());
-    let agent = app.agent(vm.state());
-    let mut vm = vm.with_agent(Box::new(agent));
+    let mut app = JvmApp::new(JvmParams::default());
+    let mut vm = Vm::new(VmId(1), spec(), VmPriority::Low);
+    app.init_usage(vm.state_mut());
 
     let _ = vm.deflate(
         SimTime::ZERO,
         &ResourceVector::memory(6_144.0),
         &CascadeConfig::FULL,
+        Some(&mut app),
     );
     // Heap shrank; nothing but a sliver of blind host reclaim swapped.
     assert!(app.heap_mb() < JvmParams::default().max_heap_mb);
@@ -138,6 +136,7 @@ fn repeated_partial_deflations_accumulate() {
             SimTime::ZERO,
             &spec().scale(0.125),
             &CascadeConfig::VM_LEVEL,
+            None,
         );
     }
     let total_deflation = vm.view().deflation;

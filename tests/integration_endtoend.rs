@@ -116,14 +116,15 @@ fn colocation_story_end_to_end() {
     );
 
     // The memcached VMs serve at full speed (high-priority, undeflated).
+    // Their usage is set through the manager, which owns the servers.
     let mc = MemcachedApp::new(MemcachedParams::default());
+    assert!(manager.set_vm_usage(VmId(100), mc.rss_mb(), mc.params().needed_vcpus));
     let mc_vm = manager
         .servers()
         .iter()
         .find_map(|s| s.vm(VmId(100)))
         .expect("memcached VM exists");
     assert!(mc_vm.effective().approx_eq(&worker_spec(), 1e-6));
-    mc.init_usage(&mc_vm.state());
     assert!(mc.normalized_perf(&mc_vm.view()) > 0.95);
 
     // Cluster throughput peaks: Spark at 1/slowdown + memcached at ~1.

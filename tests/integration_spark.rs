@@ -123,7 +123,12 @@ fn hypervisor_outcomes_feed_policy() {
         vm.set_usage(6_000.0, 2.0);
         // Staggered targets, as a bin-packing manager would assign.
         let f = 0.4 + 0.02 * i as f64;
-        let _ = vm.deflate(SimTime::ZERO, &spec.scale(f), &CascadeConfig::VM_LEVEL);
+        let _ = vm.deflate(
+            SimTime::ZERO,
+            &spec.scale(f),
+            &CascadeConfig::VM_LEVEL,
+            None,
+        );
         fractions.push(vm.max_deflation());
     }
     assert!(fractions.iter().all(|f| *f > 0.3));
